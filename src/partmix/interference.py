@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +31,7 @@ from .symgroup import Permutation
 
 NAIVE_PERMANENT_MAX = 8
 RYSER_PERMANENT_MAX = 16
+KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the oracle's gathered overlap array
 
 Outcome = tuple[int, ...]
 
@@ -164,12 +166,18 @@ def _check_outcome(outcome: Sequence[int], n: int, m: int) -> Outcome:
     return s
 
 
-def _default_inputs(n: int, input_modes: Sequence[int] | None) -> list[int]:
+def _default_inputs(n: int, m: int, input_modes: Sequence[int] | None) -> list[int]:
     if input_modes is None:
-        return list(range(n))
-    modes = list(input_modes)
-    if len(set(modes)) != n:
-        raise ValueError("input modes must be n distinct mode indices")
+        modes = list(range(n))
+    else:
+        try:
+            modes = [operator.index(j) for j in input_modes]
+        except TypeError:
+            raise ValueError(f"input modes {list(input_modes)} must be integers") from None
+        if len(modes) != n or len(set(modes)) != n:
+            raise ValueError("input modes must be n distinct mode indices")
+    if modes and (min(modes) < 0 or max(modes) >= m):
+        raise ValueError(f"input modes {modes} must lie in 0..{m - 1}")
     return modes
 
 
@@ -193,12 +201,13 @@ def probability_from_spectrum(
     n = spec.n
     if n > 7:
         raise ValueError("spectrum-based probabilities limited to n <= 7")
-    s = _check_outcome(outcome, n, U.shape[1] if U.ndim == 2 else 0)
+    m = U.shape[1] if U.ndim == 2 else 0
+    s = _check_outcome(outcome, n, m)
     if any(v > 1 for v in s):
         raise UnsupportedOutcomeError(
             "bunched outcome: use fock_oracle_probability or partition_probability"
         )
-    inputs = _default_inputs(n, input_modes)
+    inputs = _default_inputs(n, m, input_modes)
     outputs = [j for j, v in enumerate(s) if v == 1]
 
     sub = U[np.ix_(inputs, outputs)]
@@ -223,7 +232,7 @@ def ideal_probability(
     U = np.asarray(U, dtype=complex)
     s = tuple(int(v) for v in outcome)
     n = sum(s)
-    rows = _default_inputs(n, input_modes)
+    rows = _default_inputs(n, U.shape[1], input_modes)
     cols = [j for j, c in enumerate(s) for _ in range(c)]
     val = permanent(U[np.ix_(rows, cols)])
     return float(abs(val) ** 2 / math.prod(math.factorial(c) for c in s))
@@ -276,7 +285,7 @@ def partition_probability(
     U = np.asarray(U, dtype=complex)
     n = partition.n
     s = _check_outcome(outcome, n, U.shape[1])
-    inputs = _default_inputs(n, input_modes)
+    inputs = _default_inputs(n, U.shape[1], input_modes)
     cells = [tuple(inputs[i] for i in cell) for cell in partition.cells]
 
     def conv(cell_idx: int, remaining: tuple[int, ...]) -> float:
@@ -295,19 +304,6 @@ def partition_probability(
     return conv(0, s)
 
 
-def _tiny_permanent(a: np.ndarray) -> complex:
-    k = a.shape[0]
-    if k == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(k)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= a[i, j]
-        total += prod
-    return total
-
-
 def _pure_component_states(state: ProductState) -> list[tuple[float, list[np.ndarray]]]:
     """Expand a (possibly mixed) product into weighted lists of pure kets."""
     per_photon = [p.pure_components() for p in state.photons]
@@ -319,60 +315,91 @@ def _pure_component_states(state: ProductState) -> list[tuple[float, list[np.nda
     return out
 
 
+def _oracle_terms(state: State, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and Gram matrices gram[a, b] = <phi_a | phi_b> of every pure
+    product term of ``state``, mixture components and eigen-kets expanded."""
+    if isinstance(state, Mixture):
+        parts = [(w, _oracle_terms(comp, m)) for w, comp in state.components]
+        weights = np.concatenate([w * cw for w, (cw, _) in parts])
+        grams = np.concatenate([g for _, (_, g) in parts])
+        return weights, grams
+    if state.n > 5 or m > 8 or state.dim > 8:
+        raise ValueError("fock oracle limited to n <= 5, m <= 8, d <= 8")
+    terms = _pure_component_states(state)
+    kets = np.array([k for _, k in terms])  # (terms, n, d)
+    grams = np.einsum("tad,tbd->tab", kets.conj(), kets)
+    return np.array([w for w, _ in terms]), grams
+
+
+def _oracle_kernel(
+    weights: np.ndarray, grams: np.ndarray, holders: np.ndarray, blocks: list[tuple[int, int]]
+) -> np.ndarray:
+    """C[f, g] = sum_t w_t prod_j perm(gram_t[g_j, f_j]) over all assignment pairs.
+
+    ``holders[f]`` lists the photons of assignment f sorted by output mode;
+    each ``(offset, count)`` block of it holds one occupied mode. A block's
+    permanent is summed over its count! orderings. Terms are processed in
+    chunks that keep the gathered array below ``KERNEL_CHUNK_ENTRIES``.
+    """
+    F = len(holders)
+    width = max(math.factorial(c) * c for _, c in blocks)
+    step = max(1, KERNEL_CHUNK_ENTRIES // (F * F * width))
+    kernel = np.zeros((F, F), dtype=complex)
+    for lo in range(0, len(weights), step):
+        chunk = grams[lo : lo + step]
+        term = weights[lo : lo + step, None, None]
+        for off, c in blocks:
+            rows = holders[None, :, off : off + c, None]  # bra photons of g
+            cols = holders[:, None, None, off : off + c]  # ket photons of f
+            block = chunk[:, rows, cols]  # (t, f, g, c, c)
+            orderings = np.array(list(itertools.permutations(range(c))))
+            term = term * np.prod(block[..., np.arange(c), orderings], axis=-1).sum(axis=-1)
+        kernel += term.sum(axis=0)
+    return kernel
+
+
 def fock_oracle_probability(
     state: State,
     U: np.ndarray,
     outcome: Sequence[int],
     input_modes: Sequence[int] | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Brute-force probability by direct expansion over output assignments.
 
     Independent of the permutation formalism: enumerates every pair of
     photon-to-mode assignments consistent with the outcome and contracts
     internal states mode by mode (a permanent of overlaps per mode).
+
+    ``U`` is one (m, m) matrix, giving a float, or an (L, m, m) stack,
+    giving L probabilities. The contraction kernel does not depend on U, so
+    it is built once per call and shared by every matrix of the stack.
     """
-    if isinstance(state, Mixture):
-        return float(
-            sum(
-                w * fock_oracle_probability(comp, U, outcome, input_modes)
-                for w, comp in state.components
-            )
-        )
-    U = np.asarray(U, dtype=complex)
-    n, m = state.n, U.shape[1]
-    if n > 5 or m > 8 or state.dim > 8:
-        raise ValueError("fock oracle limited to n <= 5, m <= 8, d <= 8")
+    stack = np.asarray(U, dtype=complex)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("U must be one (m, m) matrix or an (L, m, m) stack")
+    n, m = state.n, stack.shape[2]
+    weights, grams = _oracle_terms(state, m)
     s = _check_outcome(outcome, n, m)
-    inputs = _default_inputs(n, input_modes)
+    inputs = _default_inputs(n, m, input_modes)
 
     mode_slots = [j for j, c in enumerate(s) for _ in range(c)]
-    assignments = sorted(set(itertools.permutations(mode_slots)))
-    amps = np.array(
-        [math.prod(U[inputs[i], f[i]] for i in range(n)) for f in assignments]
-    )
-    occupied = [j for j, c in enumerate(s) if c > 0]
-    holders = [
-        {j: [i for i in range(n) if f[i] == j] for j in occupied} for f in assignments
-    ]
+    assignments = np.array(sorted(set(itertools.permutations(mode_slots))))  # (F, n)
+    holders = np.argsort(assignments, axis=1, kind="stable")
+    counts = [c for c in s if c > 0]
+    blocks = list(zip(itertools.accumulate([0] + counts[:-1]), counts))
+    kernel = _oracle_kernel(weights, grams, holders, blocks)
 
-    total = 0.0 + 0.0j
-    for weight, kets in _pure_component_states(state):
-        karr = np.array(kets)
-        gram = karr.conj() @ karr.T  # gram[a, b] = <phi_a | phi_b>
-        comp_total = 0.0 + 0.0j
-        for fi, f_hold in enumerate(holders):
-            for gi, g_hold in enumerate(holders):
-                contraction = 1.0 + 0.0j
-                for j in occupied:
-                    block = gram[np.ix_(g_hold[j], f_hold[j])]
-                    contraction *= _tiny_permanent(block)
-                    if contraction == 0.0:
-                        break
-                comp_total += amps[fi] * np.conj(amps[gi]) * contraction
-        total += weight * comp_total
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
-        raise ValueError(f"oracle probability has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    # amps[l, f] = prod_i U[l, inputs[i], f(i)]
+    amps = np.prod(stack[:, np.asarray(inputs), assignments], axis=-1)
+    totals = np.einsum("lf,fg,lg->l", amps, kernel, amps.conj())
+    residue = np.abs(totals.imag) > 1e-10 * np.maximum(1.0, np.abs(totals))
+    if residue.any():
+        imag = totals.imag[residue][0]
+        raise ValueError(f"oracle probability has imaginary residue {imag:.3e}")
+    return float(totals.real[0]) if single else totals.real
 
 
 def mixture_probability(

@@ -35,6 +35,8 @@ class InternalState:
         v = np.asarray(ket, dtype=complex)
         if v.ndim != 1:
             raise ValueError("ket must be a vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("ket entries must be finite")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > KET_NORM_TOL:
             raise NormalizationError(f"ket norm {norm} deviates from 1 beyond {KET_NORM_TOL}")
@@ -45,6 +47,8 @@ class InternalState:
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix entries must be finite")
         state = cls(dim=rho.shape[0], matrix=rho)
         state.validate()
         return state

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCalibrationError
 from .interference import fock_oracle_probability
-from .spectrum import Spectrum, spectrum_of
+from .spectrum import Spectrum
 from .states import State, ideal_state
 from .symgroup import Permutation, enumerate_permutations
 
@@ -105,23 +105,25 @@ def fringe_scan(
 ) -> FringeScan:
     """Scan all cycle phases together through L points of [0, 2pi).
 
-    Probabilities are exact oracle values; with ``shots`` set, each point is
-    replaced by a binomial draw (the marginal of multinomial resampling of
-    the full outcome distribution on the reference outcome).
+    Probabilities are exact oracle values, from one oracle call on the stack
+    of L interferometers. With ``shots`` set, each point is replaced by a
+    binomial draw from ``rng`` (the marginal of multinomial resampling of the
+    full outcome distribution on the reference outcome).
     """
     k = len(sigma.cycles())
     if L < 2 * k + 1:
         raise ValueError(f"L must be at least 2k+1 = {2 * k + 1} for k = {k} cycles")
+    if shots is not None and rng is None:
+        raise ValueError("shot noise needs an rng, so that the scan is reproducible")
     phases = 2.0 * math.pi * np.arange(L) / L
-    probs = np.empty(L)
-    for i, phi in enumerate(phases):
-        inter = build_cyclic(sigma, [phi] * k)
-        probs[i] = fock_oracle_probability(
-            state, inter.matrix, inter.reference_outcome(), inter.input_modes()
-        )
+    inters = [build_cyclic(sigma, [phi] * k) for phi in phases]
+    probs = fock_oracle_probability(
+        state,
+        np.array([inter.matrix for inter in inters]),
+        inters[0].reference_outcome(),
+        inters[0].input_modes(),
+    )
     if shots is not None:
-        if rng is None:
-            rng = np.random.default_rng()
         probs = rng.binomial(shots, np.clip(probs, 0.0, 1.0)) / shots
     return FringeScan(phases=phases, probabilities=probs)
 
@@ -171,5 +173,4 @@ __all__ = [
     "extract_M",
     "fringe_scan",
     "full_tomography",
-    "spectrum_of",
 ]

@@ -277,6 +277,29 @@ def test_probability_with_remapped_inputs(capsys, tmp_path):
     assert json.loads(out)["probability"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_out_of_range_input_modes_exit_2(capsys, tmp_path):
+    upath = tmp_path / "u.json"
+    upath.write_text(json.dumps(unitary_to_json(np.eye(4))))
+    for modes, method in (("-1,0", "spectrum"), ("0,9", "spectrum"), ("-1,0", "oracle")):
+        code, _, err = run(
+            capsys,
+            "probability",
+            "--family",
+            "ideal",
+            "--n",
+            "2",
+            "--unitary",
+            str(upath),
+            "--outcome",
+            "0,1,0,1",
+            f"--input-modes={modes}",
+            "--method",
+            method,
+        )
+        assert code == 2
+        assert "input modes" in json.loads(err)["error"]["message"]
+
+
 def test_tomography_export_unitary(capsys, tmp_path):
     from partmix.serialize import unitary_from_json
 

@@ -170,6 +170,59 @@ def test_oracle_bounds():
         fock_oracle_probability(ideal_state(6), np.eye(6), (1,) * 6)
 
 
+def test_oracle_stack_matches_single_calls():
+    rng = np.random.default_rng(57)
+    a, b = random_pure_state(rng, 3, 2), random_mixed_state(rng, 3, 2)
+    cases = [
+        (random_pure_state(rng, 3, 3), 5, (1, 0, 1, 1, 0), None),
+        (random_mixed_state(rng, 3, 2), 4, (0, 1, 1, 1), None),
+        (Mixture(3, ((0.4, a), (0.6, b))), 4, (1, 1, 0, 1), None),
+        (random_pure_state(rng, 4, 3), 5, (2, 0, 1, 1, 0), None),  # bunched
+        (random_mixed_state(rng, 2, 2), 5, (0, 2, 0, 0, 0), None),  # bunched, mixed
+        (random_pure_state(rng, 3, 2), 6, (0, 1, 0, 1, 1, 0), [5, 0, 3]),  # remapped
+        (random_pure_state(rng, 5, 2), 6, (1, 1, 1, 0, 1, 1), None),
+    ]
+    for state, m, outcome, inputs in cases:
+        stack = np.array([random_unitary(rng, m) for _ in range(4)])
+        batched = fock_oracle_probability(state, stack, outcome, input_modes=inputs)
+        assert batched.shape == (4,)
+        for U, p in zip(stack, batched):
+            single = fock_oracle_probability(state, U, outcome, input_modes=inputs)
+            assert isinstance(single, float)
+            assert p == pytest.approx(single, abs=1e-12)
+    with pytest.raises(ValueError):
+        fock_oracle_probability(ideal_state(2), np.ones((2, 3, 4)), (1, 1, 0, 0))
+
+
+def test_oracle_kernel_chunking_is_exact(monkeypatch):
+    from partmix import interference
+
+    rng = np.random.default_rng(58)
+    state = random_mixed_state(rng, 3, 3)  # 27 pure terms
+    U = random_unitary(rng, 4)
+    for outcome in [(1, 1, 0, 1), (2, 0, 1, 0)]:
+        whole = fock_oracle_probability(state, U, outcome)
+        monkeypatch.setattr(interference, "KERNEL_CHUNK_ENTRIES", 1)  # one term per chunk
+        assert fock_oracle_probability(state, U, outcome) == pytest.approx(whole, abs=1e-12)
+        monkeypatch.undo()
+
+
+def test_input_modes_must_lie_in_range():
+    U = np.eye(4)
+    state = ideal_state(2)
+    for inputs in ([-1, -2], [0, 4], [0, 0], [0, 1, 2], [0.5, 1]):
+        with pytest.raises(ValueError, match="input modes"):
+            fock_oracle_probability(state, U, (0, 0, 1, 1), input_modes=inputs)
+        with pytest.raises(ValueError, match="input modes"):
+            probability_from_spectrum(U, ideal_spectrum(2), (0, 0, 1, 1), input_modes=inputs)
+        with pytest.raises(ValueError, match="input modes"):
+            ideal_probability(U, (0, 0, 1, 1), input_modes=inputs)
+        with pytest.raises(ValueError, match="input modes"):
+            partition_probability(U, SetPartition.full(2), (0, 0, 1, 1), input_modes=inputs)
+    with pytest.raises(ValueError, match="input modes"):
+        ideal_probability(np.eye(2), (1, 1, 1))  # three photons in two modes
+
+
 def test_partition_probability_single_cell_is_ideal():
     rng = np.random.default_rng(48)
     U = random_unitary(rng, 3)

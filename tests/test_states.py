@@ -38,6 +38,18 @@ def test_internal_state_validation():
     assert sorted(w for w, _ in comps) == pytest.approx([0.25, 0.75])
 
 
+def test_non_finite_ket_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        pure_product([[np.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        InternalState.from_ket([np.inf, 0.0])
+
+
+def test_non_finite_matrix_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        InternalState.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_product_state_dimension_mismatch():
     with pytest.raises(ValueError):
         pure_product([[1.0], [1.0, 0.0]])

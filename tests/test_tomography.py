@@ -148,6 +148,8 @@ def test_full_tomography_matches_spectrum():
         random_pure_state(rng, 3, 3),
         triad_phase_state(1.0),
         obb_state(3, 0.4),
+        random_pure_state(rng, 4, 3),
+        obb_state(4, 0.7),
     ]:
         tomo = full_tomography(state)
         direct = spectrum_of(state)
@@ -189,3 +191,9 @@ def test_shot_noise_scan_is_seeded_and_close():
     assert np.array_equal(noisy1.probabilities, noisy2.probabilities)
     exact = fringe_scan(ideal_state(2), sigma, 8)
     assert np.max(np.abs(noisy1.probabilities - exact.probabilities)) < 0.01
+
+
+def test_shot_noise_requires_rng():
+    sigma = Permutation.from_cycles(2, [(0, 1)])
+    with pytest.raises(ValueError, match="rng"):
+        fringe_scan(ideal_state(2), sigma, 8, shots=1000)
