@@ -21,7 +21,6 @@ from .errors import (
     PartmixError,
     SchemaError,
     SingularDiagonalError,
-    UnsupportedOutcomeError,
 )
 from .interference import (
     fock_oracle_probability,
@@ -71,7 +70,6 @@ __all__ = [
     "SetPartition",
     "SingularDiagonalError",
     "Spectrum",
-    "UnsupportedOutcomeError",
     "apply_mitigation",
     "apply_time_delay_partition",
     "classify",

@@ -215,9 +215,12 @@ def _parse_outcome(text: str) -> tuple[int, ...]:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("PARTMIX_THREADS", "1"))
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("PARTMIX_THREADS", "1"))
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
 
 
 def _emit(args, payload: str) -> None:
@@ -440,6 +443,7 @@ def main(argv=None) -> int:
         sys.stderr.write(parser.format_usage())
         return USAGE_EXIT
     try:
+        _threads(args)  # a bad worker cap fails before any work
         _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

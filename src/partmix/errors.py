@@ -35,14 +35,6 @@ class NegativeWeightError(PartmixError, ValueError):
     """Raised when a sampler receives a distribution with negative weights."""
 
 
-class UnsupportedOutcomeError(PartmixError, ValueError):
-    """Raised for bunched outcomes on the spectrum-based probability path.
-
-    Bunched outcomes are served by the Fock oracle or by the partition
-    convolution formula instead.
-    """
-
-
 class DegenerateCalibrationError(PartmixError, ValueError):
     """Raised when a calibration fringe has no usable frequency component."""
 

@@ -4,12 +4,16 @@ Conventions, fixed package-wide:
   * U[i, j] is the amplitude for input mode i -> output mode j, so a
     path amplitude along a bijection f is X_f = prod_i U[i, f(i)].
   * Input photons occupy modes 0..n-1 unless ``input_modes`` says otherwise.
-  * For a no-collision outcome the probability is
+  * For an outcome s, with A = U[inputs, slots] where output mode j fills
+    s_j slots, the probability is
 
-        p = sum_sigma M_sigma * sum_tau X_tau * conj(X_{tau∘sigma}),
+        p = sum_sigma M_sigma * sum_tau X_tau * conj(X_{tau∘sigma}) / prod_j s_j!
+          = sum_sigma M_sigma * perm(A ∘ conj(A[sigma^-1(.), :])) / prod_j s_j!,
 
     which pairs the spectrum convention of :mod:`partmix.spectrum` with the
-    amplitude convention above (verified against the Fock oracle).
+    amplitude convention above (verified against the Fock oracle). The n!
+    pair permanents do not depend on M (Shchesnovich, PRA 91, 013844 (2015);
+    Tichy, PRA 91, 022316 (2015)).
 """
 
 from __future__ import annotations
@@ -23,15 +27,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedOutcomeError
 from .partitions import SetPartition
 from .spectrum import Spectrum
 from .states import Mixture, ProductState, State
-from .symgroup import Permutation
+from .symgroup import Permutation, enumerate_permutations
 
 NAIVE_PERMANENT_MAX = 8
 RYSER_PERMANENT_MAX = 16
+MAX_ENGINE_N = 8
+UNITARY_TOL = 1e-6
 KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the oracle's gathered overlap array
+PAIR_CHUNK_ENTRIES = 1 << 16  # bound on the matrix entries of one batch of pair permanents
 
 Outcome = tuple[int, ...]
 
@@ -46,23 +52,28 @@ class Interferometer:
     @classmethod
     def of(cls, matrix, n: int = 0, tol: float = 1e-9) -> "Interferometer":
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("scattering matrix must be square")
-        inter = cls(matrix=m, n=n)
-        defect = inter.unitarity_defect()
-        if defect > tol:
-            raise ValueError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+        check_unitary(m, tol)
         if n > m.shape[0]:
             raise ValueError(f"{n} photons cannot occupy {m.shape[0]} distinct modes")
-        return inter
+        return cls(matrix=m, n=n)
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.m)
-        return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)))
+        return check_unitary(self.matrix, math.inf)
+
+
+def check_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> float:
+    """The unitarity defect max |U U^dagger - I|; ValueError above ``tol`` or if NaN."""
+    U = np.asarray(U)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValueError("scattering matrix must be square")
+    defect = float(np.max(np.abs(U @ U.conj().T - np.eye(len(U)))))
+    if not defect <= tol:
+        raise ValueError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
+    return defect
 
 
 def _permanent_naive(a: np.ndarray) -> complex:
@@ -76,24 +87,29 @@ def _permanent_naive(a: np.ndarray) -> complex:
     return total
 
 
-def _permanent_ryser(a: np.ndarray) -> complex:
-    """Ryser's inclusion-exclusion formula with Gray-code column updates."""
-    k = a.shape[0]
-    sums = np.zeros(k, dtype=complex)
-    total = 0.0 + 0.0j
+def permanents(mats: np.ndarray) -> np.ndarray:
+    """Permanents of a stack (..., k, k): Ryser's formula with Gray-code column
+    updates, one Python loop over the 2^k subsets for the whole stack."""
+    mats = np.asarray(mats, dtype=complex)
+    k = mats.shape[-1]
+    if k == 0:
+        return np.ones(mats.shape[:-2], dtype=complex)[()]
+    cols = mats.T  # cols[j, i] = mats[..., i, j] with the stack axes reversed
+    sums = np.zeros(cols.shape[1:], dtype=complex)
+    total = 0.0 + 0.0j  # one matrix runs on scalars, as a plain Ryser would
     prev = 0
     for idx in range(1, 1 << k):
         gray = idx ^ (idx >> 1)
         bit = gray ^ prev
         j = bit.bit_length() - 1
         if gray & bit:
-            sums += a[:, j]
+            sums += cols[j]
         else:
-            sums -= a[:, j]
+            sums -= cols[j]
         prev = gray
         sign = -1.0 if gray.bit_count() & 1 else 1.0
-        total += sign * np.prod(sums)
-    return total if k % 2 == 0 else -total
+        total = total + sign * np.prod(sums, axis=0)
+    return (total if k % 2 == 0 else -total).T
 
 
 def permanent(a: np.ndarray, method: str = "ryser") -> complex:
@@ -101,8 +117,6 @@ def permanent(a: np.ndarray, method: str = "ryser") -> complex:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent needs a square matrix")
     k = a.shape[0]
-    if k == 0:
-        return 1.0 + 0.0j
     if method == "naive":
         if k > NAIVE_PERMANENT_MAX:
             raise ValueError(f"naive permanent limited to k <= {NAIVE_PERMANENT_MAX}")
@@ -110,7 +124,7 @@ def permanent(a: np.ndarray, method: str = "ryser") -> complex:
     if method == "ryser":
         if k > RYSER_PERMANENT_MAX:
             raise ValueError(f"ryser permanent limited to k <= {RYSER_PERMANENT_MAX}")
-        return _permanent_ryser(a)
+        return permanents(a)
     raise ValueError(f"unknown permanent method {method!r}")
 
 
@@ -130,15 +144,18 @@ def path_amplitude(
     return acc
 
 
-def outcome_patterns(m: int, n: int) -> list[Outcome]:
-    """All C(m+n-1, n) occupation vectors of n photons in m modes."""
+def outcome_patterns(m: int, n: int, bound: Sequence[int] | None = None) -> list[Outcome]:
+    """Occupation vectors of n photons in m modes in lexicographic order: all
+    C(m+n-1, n) of them, or those at most ``bound`` mode by mode."""
+    bound = [n] * m if bound is None else bound
     out = []
 
     def grow(prefix: list[int], left: int):
         if len(prefix) == m - 1:
-            out.append(tuple(prefix) + (left,))
+            if left <= bound[-1]:
+                out.append(tuple(prefix) + (left,))
             return
-        for k in range(left + 1):
+        for k in range(min(left, bound[len(prefix)]) + 1):
             prefix.append(k)
             grow(prefix, left - k)
             prefix.pop()
@@ -182,12 +199,46 @@ def _default_inputs(n: int, m: int, input_modes: Sequence[int] | None) -> list[i
 
 
 @lru_cache(maxsize=8)
-def _perm_tables(n: int):
-    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    powers = n ** np.arange(n, dtype=np.int64)
-    keys = images @ powers
-    order = np.argsort(keys)
-    return images, powers, keys[order], order
+def _perm_tables(n: int) -> tuple[list[Permutation], np.ndarray]:
+    """S_n in lexicographic rank order, with the image array of each inverse."""
+    perms = list(enumerate_permutations(n))
+    return perms, np.argsort(np.array([p.images for p in perms]), axis=1)
+
+
+def spectrum_vector(spec: Spectrum) -> np.ndarray:
+    """M_sigma in the rank order of ``_perm_tables``."""
+    perms, _ = _perm_tables(spec.n)
+    return np.array([spec.values[p] for p in perms], dtype=complex)
+
+
+def pair_permanent_sums(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(T, K) sums over sigma of P[t, sigma] * weights[sigma, c] for a stack A of
+    T (n, n) matrices, P[t, sigma] = perm(A_t ∘ conj(A_t[sigma^-1(.), :])) with
+    sigma in rank order. One pass over P scores K spectra; each batch holds
+    at most about PAIR_CHUNK_ENTRIES matrix entries."""
+    n = A.shape[-1]
+    _, inverses = _perm_tables(n)
+    sstep = min(len(inverses), max(1, PAIR_CHUNK_ENTRIES // (n * n)))
+    tstep = max(1, PAIR_CHUNK_ENTRIES // (sstep * n * n))
+    out = np.zeros((len(A), weights.shape[1]), dtype=complex)
+    for t0 in range(0, len(A), tstep):
+        a = A[t0 : t0 + tstep]
+        for s0 in range(0, len(inverses), sstep):
+            mats = a[:, inverses[s0 : s0 + sstep]]  # [t, sigma, i, j] = a[t, sigma^-1(i), j]
+            np.conjugate(mats, out=mats)
+            mats *= a[:, None]
+            out[t0 : t0 + tstep] += permanents(mats) @ weights[s0 : s0 + sstep]
+    return out
+
+
+def real_part(totals, what: str = "probability"):
+    """The real part of computed probabilities whose imaginary residue is negligible."""
+    totals = np.asarray(totals)
+    residue = np.abs(totals.imag) > 1e-10 * np.maximum(1.0, np.abs(totals))
+    if residue.any():
+        imag = totals.imag[residue].flat[0]
+        raise ValueError(f"{what} has imaginary residue {imag:.3e}")
+    return totals.real
 
 
 def probability_from_spectrum(
@@ -196,33 +247,20 @@ def probability_from_spectrum(
     outcome: Sequence[int],
     input_modes: Sequence[int] | None = None,
 ) -> float:
-    """Outcome probability from the permutation spectrum (no-collision only)."""
+    """Outcome probability from the permutation spectrum, bunched outcomes
+    included: n! pair permanents contracted with M (see the module notes)."""
     U = np.asarray(U, dtype=complex)
     n = spec.n
-    if n > 7:
-        raise ValueError("spectrum-based probabilities limited to n <= 7")
-    m = U.shape[1] if U.ndim == 2 else 0
+    if n > MAX_ENGINE_N:
+        raise ValueError(f"spectrum-based probabilities limited to n <= {MAX_ENGINE_N}")
+    check_unitary(U)
+    m = U.shape[1]
     s = _check_outcome(outcome, n, m)
-    if any(v > 1 for v in s):
-        raise UnsupportedOutcomeError(
-            "bunched outcome: use fock_oracle_probability or partition_probability"
-        )
     inputs = _default_inputs(n, m, input_modes)
-    outputs = [j for j, v in enumerate(s) if v == 1]
-
-    sub = U[np.ix_(inputs, outputs)]
-    images, powers, sorted_keys, order = _perm_tables(n)
-    amps = np.prod(sub[np.arange(n)[None, :], images], axis=1)
-    m_vec = np.array([spec.values[Permutation(tuple(im))] for im in images])
-
-    total = 0.0 + 0.0j
-    for k, sigma in enumerate(images):
-        composed = images[:, sigma]  # (tau∘sigma)(i) = tau(sigma(i))
-        idx = order[np.searchsorted(sorted_keys, composed @ powers)]
-        total += m_vec[k] * np.sum(amps * np.conj(amps[idx]))
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
-        raise ValueError(f"probability has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    cols = [j for j, c in enumerate(s) for _ in range(c)]
+    A = U[np.ix_(inputs, cols)][None]
+    total = pair_permanent_sums(A, spectrum_vector(spec)[:, None])[0, 0]
+    return float(real_part(total / math.prod(math.factorial(c) for c in s)))
 
 
 def ideal_probability(
@@ -243,31 +281,8 @@ def ideal_outcome_distribution(
 ) -> dict[Outcome, float]:
     """Exact ideal boson-sampling law for photons fed in ``input_modes``."""
     U = np.asarray(U, dtype=complex)
-    m = U.shape[1]
-    k = len(input_modes)
-    return {
-        s: ideal_probability(U, s, input_modes)
-        for s in outcome_patterns(m, k)
-    }
-
-
-def _cell_suboutcomes(remaining: Sequence[int], k: int) -> list[Outcome]:
-    """Occupation vectors of k photons bounded above by ``remaining``."""
-    m = len(remaining)
-    out = []
-
-    def grow(j: int, prefix: list[int], left: int):
-        if j == m:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        for c in range(min(left, remaining[j]) + 1):
-            prefix.append(c)
-            grow(j + 1, prefix, left - c)
-            prefix.pop()
-
-    grow(0, [], k)
-    return out
+    patterns = outcome_patterns(U.shape[1], len(input_modes))
+    return {s: ideal_probability(U, s, input_modes) for s in patterns}
 
 
 def partition_probability(
@@ -293,7 +308,7 @@ def partition_probability(
             return 1.0 if all(v == 0 for v in remaining) else 0.0
         rows = cells[cell_idx]
         total = 0.0
-        for t in _cell_suboutcomes(remaining, len(rows)):
+        for t in outcome_patterns(len(remaining), len(rows), remaining):
             p_cell = ideal_probability(U, t, rows)
             if p_cell == 0.0:
                 continue
@@ -394,12 +409,8 @@ def fock_oracle_probability(
 
     # amps[l, f] = prod_i U[l, inputs[i], f(i)]
     amps = np.prod(stack[:, np.asarray(inputs), assignments], axis=-1)
-    totals = np.einsum("lf,fg,lg->l", amps, kernel, amps.conj())
-    residue = np.abs(totals.imag) > 1e-10 * np.maximum(1.0, np.abs(totals))
-    if residue.any():
-        imag = totals.imag[residue][0]
-        raise ValueError(f"oracle probability has imaginary residue {imag:.3e}")
-    return float(totals.real[0]) if single else totals.real
+    totals = real_part(np.einsum("lf,fg,lg->l", amps, kernel, amps.conj()), "oracle probability")
+    return float(totals[0]) if single else totals
 
 
 def mixture_probability(

@@ -73,9 +73,6 @@ class SetPartition:
         """Restricted growth string; stable lexicographic key."""
         return tuple(self.cell_of())
 
-    def max_cell(self) -> int:
-        return max(len(c) for c in self.cells)
-
     def to_json(self) -> list[list[int]]:
         return [list(c) for c in self.cells]
 

@@ -10,7 +10,7 @@ samples are scheduled across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +19,9 @@ from .errors import NegativeWeightError
 from .interference import (
     Outcome,
     ideal_outcome_distribution,
-    permanent,
-    probability_from_spectrum,
+    pair_permanent_sums,
+    real_part,
+    spectrum_vector,
 )
 from .partitions import PartitionDistribution, SetPartition
 from .spectrum import spectrum_of, twirl
@@ -30,6 +31,8 @@ WEIGHT_FLOOR = -1e-12
 
 MAX_CELL_PHOTONS = 5
 
+MAX_HAAR_N = 6
+
 
 @dataclass(frozen=True, eq=False)
 class SamplerConfig:
@@ -38,6 +41,10 @@ class SamplerConfig:
     seed: int
     count: int
     input_modes: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"sample count must be nonnegative, got {self.count}")
 
     def inputs(self) -> list[int]:
         if self.input_modes is not None:
@@ -210,16 +217,7 @@ class HaarExperimentReport:
         return self.mean_sq_raw >= self.mean_sq_twirled - sigmas * self.combined_se()
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "modes": self.modes,
-            "photons": self.photons,
-            "seed": self.seed,
-            "mean_sq_raw": self.mean_sq_raw,
-            "mean_sq_twirled": self.mean_sq_twirled,
-            "se_raw": self.se_raw,
-            "se_twirled": self.se_twirled,
-        }
+        return asdict(self)
 
 
 def haar_variance_experiment(
@@ -229,29 +227,27 @@ def haar_variance_experiment(
 
     Per trial: one Haar unitary, the fixed no-collision outcome on the
     first n output modes, and the squared deviation from the ideal
-    probability for the raw and for the twirled spectrum.
+    probability for the raw and for the twirled spectrum. One pass over the
+    pair permanents of each unitary's n x n block scores the ideal (M = 1,
+    giving |Perm|^2), raw and twirled spectra together.
     """
     n = state.n
-    if n > 4:
-        raise ValueError("haar experiment limited to n <= 4")
+    if n > MAX_HAAR_N:
+        raise ValueError(f"haar experiment limited to n <= {MAX_HAAR_N}")
     if trials < 1000:
         raise ValueError("need at least 1000 trials for meaningful statistics")
     if m < n:
         raise ValueError(f"{n} photons need at least {n} modes")
     raw = spectrum_of(state)
-    twirled = twirl(raw)
-    outcome = tuple([1] * n + [0] * (m - n))
-
-    dsq_raw = np.empty(trials)
-    dsq_tw = np.empty(trials)
+    weights = np.stack(
+        [np.ones(math.factorial(n)), spectrum_vector(raw), spectrum_vector(twirl(raw))], axis=1
+    )
+    blocks = np.empty((trials, n, n), dtype=complex)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        U = haar_unitary(m, rng)
-        p_ideal = float(abs(permanent(U[:n, :n])) ** 2)
-        p_raw = probability_from_spectrum(U, raw, outcome)
-        p_tw = probability_from_spectrum(U, twirled, outcome)
-        dsq_raw[t] = (p_raw - p_ideal) ** 2
-        dsq_tw[t] = (p_tw - p_ideal) ** 2
+        blocks[t] = haar_unitary(m, np.random.default_rng([seed, t]))[:n, :n]
+    p_ideal, p_raw, p_tw = real_part(pair_permanent_sums(blocks, weights)).T
+    dsq_raw = (p_raw - p_ideal) ** 2
+    dsq_tw = (p_tw - p_ideal) ** 2
     return HaarExperimentReport(
         trials=trials,
         modes=m,

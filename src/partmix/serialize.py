@@ -19,6 +19,7 @@ except ImportError:  # pragma: no cover - declared dependency
     jsonschema = None
 
 from .errors import SchemaError
+from .interference import UNITARY_TOL, check_unitary
 from .partitions import PartitionDistribution, SetPartition, enumerate_partitions
 from .spectrum import Spectrum
 from .states import (
@@ -310,7 +311,10 @@ def spectrum_from_json(doc: dict) -> Spectrum:
         sigma = rec["sigma"]
         if sorted(sigma) != list(range(n)):
             raise SchemaError(f"/values/{i}/sigma", f"not a permutation of 0..{n - 1}")
-        values[Permutation(tuple(sigma))] = complex(rec["re"], rec["im"])
+        key = Permutation(tuple(sigma))
+        if key in values:
+            raise SchemaError(f"/values/{i}/sigma", f"permutation {sigma} appears twice")
+        values[key] = complex(rec["re"], rec["im"])
     expected = set(enumerate_permutations(n))
     if set(values) != expected:
         raise SchemaError("/values", f"spectrum must cover all {len(expected)} permutations")
@@ -333,7 +337,7 @@ def unitary_to_json(U: np.ndarray) -> dict:
     return {"matrix": [[_complex_pair(z) for z in row] for row in U]}
 
 
-def unitary_from_json(doc: dict, defect_tol: float = 1e-6) -> np.ndarray:
+def unitary_from_json(doc: dict, defect_tol: float = UNITARY_TOL) -> np.ndarray:
     validate_schema(doc, UNITARY_SCHEMA)
     rows = doc["matrix"]
     m = len(rows)
@@ -343,9 +347,10 @@ def unitary_from_json(doc: dict, defect_tol: float = 1e-6) -> np.ndarray:
     U = np.array(
         [[_as_complex(z, f"/matrix/{i}/{j}") for j, z in enumerate(row)] for i, row in enumerate(rows)]
     )
-    defect = float(np.max(np.abs(U @ U.conj().T - np.eye(m))))
-    if defect > defect_tol:
-        raise SchemaError("/matrix", f"max unitarity defect {defect:.3e} exceeds {defect_tol:.1e}")
+    try:
+        check_unitary(U, defect_tol)
+    except ValueError as exc:
+        raise SchemaError("/matrix", str(exc)) from None
     return U
 
 

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCalibrationError
-from .interference import fock_oracle_probability
+from .interference import check_unitary, fock_oracle_probability
 from .spectrum import Spectrum
 from .states import State, ideal_state
 from .symgroup import Permutation, enumerate_permutations
 
 MAX_TOMOGRAPHY_N = 4
 MAX_BUILD_N = 5
-
-UNITARITY_TOL = 1e-10
 
 
 def _beam_splitter_layer(n: int) -> np.ndarray:
@@ -58,8 +56,7 @@ class CyclicInterferometer:
         return tuple(1 if j % 2 == 0 else 0 for j in range(2 * self.n))
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(2 * self.n)
-        return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - eye)))
+        return check_unitary(self.matrix, math.inf)
 
 
 def build_cyclic(sigma: Permutation, phases) -> CyclicInterferometer:

@@ -351,6 +351,34 @@ def test_malformed_json_exits_2_with_pointer(capsys, tmp_path):
     assert "char" in doc["error"]["path"]
 
 
+def test_repeated_sigma_in_spectrum_file_exits_2(capsys, tmp_path):
+    doc = spectrum_to_json(spectrum_of(obb_state(2, 0.7)))
+    doc["values"].append({"sigma": [0, 1], "re": 0.2, "im": 0.0})  # identity again
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(doc))
+    for argv in (
+        ["classify", "--spectrum", str(spath)],
+        ["probability", "--spectrum", str(spath), "--haar", "2", "--outcome", "1,1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["path"] == "/values/2/sigma"
+
+
+def test_negative_count_and_threads_exit_2(capsys, monkeypatch):
+    base = ["sample", "--family", "obb", "--n", "2", "--x", "0.5", "--haar", "3"]
+    for extra in (["--count", "-3"], ["--count", "5", "--threads", "-4"], ["--count", "5", "--threads", "0"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+    monkeypatch.setenv("PARTMIX_THREADS", "-4")
+    code, out, err = run(capsys, *base, "--count", "5")
+    assert code == 2 and out == ""
+    assert "threads" in json.loads(err)["error"]["message"]
+    code, out, _ = run(capsys, *base, "--count", "5", "--threads", "2")  # the flag wins
+    assert code == 0 and len(out.strip().splitlines()) == 5
+
+
 def test_non_unitary_matrix_rejected(capsys, tmp_path):
     doc = unitary_to_json(np.eye(2) * 1.5)
     upath = tmp_path / "u.json"

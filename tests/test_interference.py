@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    double_sum_probability,
     random_mixed_state,
     random_nonneg_distribution,
     random_pure_state,
     random_unitary,
+    ryser_reference,
 )
-from partmix.errors import UnsupportedOutcomeError
 from partmix.interference import (
     Interferometer,
+    check_unitary,
     fock_oracle_probability,
     ideal_probability,
     mixture_probability,
@@ -21,6 +23,7 @@ from partmix.interference import (
     partition_probability,
     path_amplitude,
     permanent,
+    permanents,
     probability_from_spectrum,
 )
 from partmix.partitions import SetPartition, enumerate_partitions
@@ -58,6 +61,18 @@ def test_permanent_methods_agree():
         assert abs(naive - ryser) <= 1e-10 * max(1.0, abs(naive))
 
 
+def test_permanent_is_bitwise_the_single_matrix_ryser():
+    rng = np.random.default_rng(59)
+    for k in range(1, 9):
+        stack = rng.standard_normal((40, k, k)) + 1j * rng.standard_normal((40, k, k))
+        batched = permanents(stack)
+        for a, p in zip(stack, batched):
+            reference = ryser_reference(a)
+            assert permanent(a) == reference  # bit for bit: sampler tables stay put
+            assert abs(p - reference) <= 1e-12 * max(1.0, abs(reference))
+    assert permanents(np.zeros((3, 0, 0))).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_permanent_bounds_and_empty():
     assert permanent(np.zeros((0, 0))) == 1.0
     with pytest.raises(ValueError):
@@ -77,6 +92,16 @@ def test_interferometer_validation():
         Interferometer.of(U * 1.01)
     with pytest.raises(ValueError):
         Interferometer.of(U, n=5)
+
+
+def test_engine_rejects_non_unitary_matrices():
+    # 50·I used to give p = 6.25e6
+    for bad in (50 * np.eye(2), np.ones((2, 3)), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="unitarity defect|square"):
+            probability_from_spectrum(bad, ideal_spectrum(2), (1, 1))
+    assert check_unitary(BS) < 1e-15
+    with pytest.raises(ValueError, match="unitarity defect"):
+        check_unitary(BS * (1 + 1e-7), tol=1e-9)
 
 
 def test_path_amplitude_figure_convention():
@@ -122,9 +147,69 @@ def test_ideal_probability_is_permanent_law():
         )
 
 
-def test_bunched_outcome_redirects():
-    with pytest.raises(UnsupportedOutcomeError):
-        probability_from_spectrum(BS, ideal_spectrum(2), (2, 0))
+def test_engine_matches_oracle_bunched_outcomes():
+    rng = np.random.default_rng(60)
+    for n, m in [(2, 3), (3, 4), (4, 5)]:
+        U = random_unitary(rng, m)
+        a, b = random_pure_state(rng, n, 2), random_mixed_state(rng, n, 2)
+        for state in (a, b, Mixture(n, ((0.3, a), (0.7, b)))):
+            spec = spectrum_of(state)
+            for outcome in outcome_patterns(m, n):  # bunched ones included
+                assert probability_from_spectrum(U, spec, outcome) == pytest.approx(
+                    fock_oracle_probability(state, U, outcome), abs=1e-14
+                )
+    assert probability_from_spectrum(BS, ideal_spectrum(2), (2, 0)) == pytest.approx(0.5)
+
+
+def test_engine_matches_double_sum():
+    rng = np.random.default_rng(61)
+    for n in range(1, 7):
+        m = n + 2
+        a, b = random_pure_state(rng, n, 3), random_mixed_state(rng, n, 2)
+        for state in (a, b, Mixture(n, ((0.6, a), (0.4, b)))):
+            spec = spectrum_of(state)
+            U = random_unitary(rng, m)
+            inputs = list(rng.permutation(m)[:n])
+            for outcome in no_collision_outcomes(m, n)[:3]:
+                for modes in (None, inputs):
+                    assert probability_from_spectrum(
+                        U, spec, outcome, input_modes=modes
+                    ) == pytest.approx(
+                        double_sum_probability(U, spec, outcome, input_modes=modes), abs=1e-12
+                    )
+
+
+def test_engine_batches_are_exact(monkeypatch):
+    from partmix import interference
+
+    rng = np.random.default_rng(62)
+    state = random_mixed_state(rng, 4, 2)
+    spec = spectrum_of(state)
+    U = random_unitary(rng, 5)
+    outcomes = [(1, 1, 0, 1, 1), (2, 0, 1, 0, 1)]
+    whole = [probability_from_spectrum(U, spec, o) for o in outcomes]
+    monkeypatch.setattr(interference, "PAIR_CHUNK_ENTRIES", 40)  # 2 permutations per batch
+    for o, p in zip(outcomes, whole):
+        assert probability_from_spectrum(U, spec, o) == pytest.approx(p, abs=1e-15)
+
+
+def test_engine_at_seven_and_eight_photons():
+    rng = np.random.default_rng(63)
+    U = random_unitary(rng, 9)
+    groups = SetPartition.of(7, [[0, 1, 2, 3], [4, 5, 6]])
+    spec = spectrum_of(partition_state(groups))  # M = 1 inside the groups, 0 across
+    for outcome in [(1, 1, 1, 1, 0, 1, 1, 1, 0), (0, 3, 0, 1, 0, 2, 1, 0, 0)]:
+        assert probability_from_spectrum(U, ideal_spectrum(7), outcome) == pytest.approx(
+            ideal_probability(U, outcome), abs=1e-14
+        )
+        assert probability_from_spectrum(U, spec, outcome) == pytest.approx(
+            partition_probability(U, groups, outcome), abs=1e-14
+        )
+    U = random_unitary(rng, 9)
+    outcome = (1, 1, 0, 1, 1, 1, 1, 1, 1)
+    assert probability_from_spectrum(U, ideal_spectrum(8), outcome) == pytest.approx(
+        ideal_probability(U, outcome), abs=1e-14
+    )
 
 
 def test_engine_matches_oracle_random_states():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import random_unitary
+from helpers import haar_experiment_reference, random_pure_state, random_unitary
 from partmix.errors import NegativeWeightError
 from partmix.interference import mixture_probability, outcome_patterns
 from partmix.partitions import PartitionDistribution, SetPartition
 from partmix.sampling import (
+    MAX_HAAR_N,
     CostReport,
     SamplerConfig,
     haar_unitary,
@@ -218,6 +219,28 @@ def test_haar_experiment_validation():
         haar_variance_experiment(obb_state(2, 0.5), m=8, trials=10, seed=1)
     with pytest.raises(ValueError):
         haar_variance_experiment(obb_state(2, 0.5), m=1, trials=1000, seed=1)
+    with pytest.raises(ValueError, match="limited"):
+        haar_variance_experiment(obb_state(MAX_HAAR_N + 1, 0.5), m=16, trials=1000, seed=1)
+
+
+def test_haar_experiment_matches_per_trial_loop():
+    rng = np.random.default_rng(84)
+    for n in (2, 3, 4):
+        state = random_pure_state(rng, n, 2)
+        report = haar_variance_experiment(state, m=16, trials=1000, seed=85 + n)
+        reference = haar_experiment_reference(state, m=16, trials=1000, seed=85 + n)
+        for key, value in reference.items():
+            assert getattr(report, key) == pytest.approx(value, rel=1e-12)
+
+
+def test_sampler_rejects_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        SamplerConfig(
+            unitary=np.eye(2, dtype=complex),
+            distribution=delta_distribution(2, SetPartition.full(2)),
+            seed=0,
+            count=-3,
+        )
 
 
 def test_cost_report_from_partitions():

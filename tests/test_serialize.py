@@ -128,6 +128,15 @@ def test_spectrum_json_requires_completeness():
         spectrum_from_json(doc2)
 
 
+def test_spectrum_json_rejects_repeated_sigma():
+    # every permutation present, but the identity twice: the last entry used to win
+    doc = spectrum_to_json(spectrum_of(obb_state(2, 0.7)))
+    doc["values"].append({"sigma": [0, 1], "re": 0.2, "im": 0.0})
+    with pytest.raises(SchemaError, match="twice") as info:
+        spectrum_from_json(doc)
+    assert info.value.path == "/values/2/sigma"
+
+
 def test_unitary_roundtrip_and_defect_gate():
     rng = np.random.default_rng(93)
     U = random_unitary(rng, 3)
