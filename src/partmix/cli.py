@@ -21,8 +21,8 @@ import numpy as np
 from . import reconstruct, sampling, serialize, spectrum as spectrum_mod, tomography
 from .errors import PartmixError, SchemaError
 from .interference import (
+    _partition_law,
     fock_oracle_probability,
-    outcome_patterns,
     partition_probability,
     probability_from_spectrum,
 )
@@ -315,10 +315,8 @@ def _cmd_partition_prob(args):
     if inputs is not None:
         cfg["input_modes"] = inputs
     if args.all_outcomes:
-        table = [
-            {"outcome": list(o), "p": partition_probability(U, p, o, input_modes=inputs)}
-            for o in outcome_patterns(U.shape[0], p.n)
-        ]
+        occ, probs = _partition_law(U, [(1.0, p.cells)], p.n, inputs)
+        table = [{"outcome": o, "p": v} for o, v in zip(occ.tolist(), probs.tolist())]
         _emit_artifact(args, cfg, {"table": table})
     else:
         if not args.outcome:

@@ -37,7 +37,7 @@ RYSER_PERMANENT_MAX = 16
 MAX_ENGINE_N = 8
 UNITARY_TOL = 1e-6
 KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the oracle's gathered overlap array
-PAIR_CHUNK_ENTRIES = 1 << 16  # bound on the matrix entries of one batch of pair permanents
+STACK_CHUNK_ENTRIES = 1 << 16  # bound on the matrix entries of one permanents stack
 
 Outcome = tuple[int, ...]
 
@@ -144,34 +144,28 @@ def path_amplitude(
     return acc
 
 
+def _patterns(m: int, n: int, bound: Sequence[int] | None = None):
+    """Every occupation vector of n photons in m modes (at most ``bound`` mode by
+    mode) in lexicographic order, as (P, n) sorted output modes and (P, m)
+    occupations. Sorted mode lists run in the reverse order of their vectors."""
+    if bound is None:
+        lists = list(itertools.combinations_with_replacement(range(m), n))
+    else:
+        pool = [j for j, c in enumerate(bound) for _ in range(min(int(c), n))]
+        lists = sorted(set(itertools.combinations(pool, n)))
+    slots = np.array(lists[::-1], dtype=np.int64).reshape(len(lists), n)
+    return slots, (slots[:, :, None] == np.arange(m)).sum(axis=1)
+
+
 def outcome_patterns(m: int, n: int, bound: Sequence[int] | None = None) -> list[Outcome]:
     """Occupation vectors of n photons in m modes in lexicographic order: all
     C(m+n-1, n) of them, or those at most ``bound`` mode by mode."""
-    bound = [n] * m if bound is None else bound
-    out = []
-
-    def grow(prefix: list[int], left: int):
-        if len(prefix) == m - 1:
-            if left <= bound[-1]:
-                out.append(tuple(prefix) + (left,))
-            return
-        for k in range(min(left, bound[len(prefix)]) + 1):
-            prefix.append(k)
-            grow(prefix, left - k)
-            prefix.pop()
-
-    grow([], n)
-    return out
+    return [tuple(s) for s in _patterns(m, n, bound)[1].tolist()]
 
 
 def no_collision_outcomes(m: int, n: int) -> list[Outcome]:
-    out = []
-    for modes in itertools.combinations(range(m), n):
-        s = [0] * m
-        for j in modes:
-            s[j] = 1
-        out.append(tuple(s))
-    return out
+    """Outcomes with at most one photon per mode, first modes filled first."""
+    return outcome_patterns(m, n, [1] * m)[::-1]
 
 
 def _check_outcome(outcome: Sequence[int], n: int, m: int) -> Outcome:
@@ -215,11 +209,11 @@ def pair_permanent_sums(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(T, K) sums over sigma of P[t, sigma] * weights[sigma, c] for a stack A of
     T (n, n) matrices, P[t, sigma] = perm(A_t ∘ conj(A_t[sigma^-1(.), :])) with
     sigma in rank order. One pass over P scores K spectra; each batch holds
-    at most about PAIR_CHUNK_ENTRIES matrix entries."""
+    at most about STACK_CHUNK_ENTRIES matrix entries."""
     n = A.shape[-1]
     _, inverses = _perm_tables(n)
-    sstep = min(len(inverses), max(1, PAIR_CHUNK_ENTRIES // (n * n)))
-    tstep = max(1, PAIR_CHUNK_ENTRIES // (sstep * n * n))
+    sstep = min(len(inverses), max(1, STACK_CHUNK_ENTRIES // (n * n)))
+    tstep = max(1, STACK_CHUNK_ENTRIES // (sstep * n * n))
     out = np.zeros((len(A), weights.shape[1]), dtype=complex)
     for t0 in range(0, len(A), tstep):
         a = A[t0 : t0 + tstep]
@@ -268,12 +262,68 @@ def ideal_probability(
 ) -> float:
     """Ideal indistinguishable probability |Perm(U^[s])|^2 / prod_j s_j!."""
     U = np.asarray(U, dtype=complex)
-    s = tuple(int(v) for v in outcome)
-    n = sum(s)
+    n = sum(int(v) for v in outcome)
     rows = _default_inputs(n, U.shape[1], input_modes)
+    s = _check_outcome(outcome, n, U.shape[1])
     cols = [j for j, c in enumerate(s) for _ in range(c)]
     val = permanent(U[np.ix_(rows, cols)])
     return float(abs(val) ** 2 / math.prod(math.factorial(c) for c in s))
+
+
+def _cell_law(U: np.ndarray, rows: Sequence[int], bound: Sequence[int] | None = None):
+    """Every occupation pattern of the photons fed in ``rows``, in
+    ``outcome_patterns`` order and at most ``bound`` mode by mode, with its ideal
+    probability |perm|^2 / prod_j s_j!, from ``permanents`` stacks of at most
+    about STACK_CHUNK_ENTRIES matrix entries."""
+    m, k = U.shape[1], len(rows)
+    cols, occ = _patterns(m, k, bound)
+    step = max(1, STACK_CHUNK_ENTRIES // (k * k))
+    block = U[np.asarray(rows)]
+    perms = [permanents(block[:, cols[lo : lo + step]].transpose(1, 0, 2))
+             for lo in range(0, len(cols), step)]
+    factorials = np.array([math.factorial(c) for c in range(k + 1)], dtype=float)
+    return occ, np.abs(np.concatenate(perms)) ** 2 / np.prod(factorials[occ], axis=1)
+
+
+def _collect(occ: np.ndarray, probs: np.ndarray):
+    """Sum the probabilities of equal occupation vectors; rows in lexicographic order."""
+    occ, inv = np.unique(occ, axis=0, return_inverse=True)
+    return occ, np.bincount(inv.ravel(), weights=probs)
+
+
+def _mix_laws(parts, cell_law, m: int, bound: Sequence[int] | None = None):
+    """Σ_Λ w_Λ · (the convolution of Λ's cell laws) over occupation vectors, in
+    ``outcome_patterns`` order. ``parts`` pairs each w_Λ with Λ's cells, and
+    ``cell_law(cell)`` gives a cell's (patterns, probabilities); it runs once
+    per distinct cell. Partial sums above ``bound`` are dropped, so the law is
+    exact at every vector up to ``bound``."""
+    laws, occs, probs = {}, [np.zeros((0, m), dtype=np.int64)], [np.zeros(0)]
+    for w, cells in parts:
+        occ, p = np.zeros((1, m), dtype=np.int64), np.ones(1)
+        for cell in cells:
+            if cell not in laws:
+                laws[cell] = cell_law(cell)
+            occ = (occ[:, None] + laws[cell][0]).reshape(-1, m)
+            p = np.outer(p, laws[cell][1]).ravel()
+            keep = slice(None) if bound is None else (occ <= bound).all(axis=1)
+            occ, p = _collect(occ[keep], p[keep])
+        occs.append(occ)
+        probs.append(w * p)
+    return _collect(np.concatenate(occs), np.concatenate(probs))
+
+
+def _partition_law(U: np.ndarray, parts, n: int, input_modes=None, outcome=None):
+    """``_mix_laws`` over the ideal cell laws of n photons fed in ``input_modes``.
+    Bounded by ``outcome``, the only n-photon vector left is the outcome
+    itself, so the law's sum is the outcome's probability."""
+    U = np.asarray(U, dtype=complex)
+    bound = None if outcome is None else _check_outcome(outcome, n, U.shape[1])
+    inputs = _default_inputs(n, U.shape[1], input_modes)
+
+    def cell_law(cell):
+        return _cell_law(U, [inputs[i] for i in cell], bound)
+
+    return _mix_laws(parts, cell_law, U.shape[1], bound)
 
 
 def ideal_outcome_distribution(
@@ -281,8 +331,8 @@ def ideal_outcome_distribution(
 ) -> dict[Outcome, float]:
     """Exact ideal boson-sampling law for photons fed in ``input_modes``."""
     U = np.asarray(U, dtype=complex)
-    patterns = outcome_patterns(U.shape[1], len(input_modes))
-    return {s: ideal_probability(U, s, input_modes) for s in patterns}
+    occ, probs = _cell_law(U, _default_inputs(len(input_modes), U.shape[1], input_modes))
+    return dict(zip(map(tuple, occ.tolist()), probs.tolist()))
 
 
 def partition_probability(
@@ -297,26 +347,8 @@ def partition_probability(
     convolution of each cell's ideal distribution; per-cell probabilities
     are squared sub-permanents with repeated output columns.
     """
-    U = np.asarray(U, dtype=complex)
-    n = partition.n
-    s = _check_outcome(outcome, n, U.shape[1])
-    inputs = _default_inputs(n, U.shape[1], input_modes)
-    cells = [tuple(inputs[i] for i in cell) for cell in partition.cells]
-
-    def conv(cell_idx: int, remaining: tuple[int, ...]) -> float:
-        if cell_idx == len(cells):
-            return 1.0 if all(v == 0 for v in remaining) else 0.0
-        rows = cells[cell_idx]
-        total = 0.0
-        for t in outcome_patterns(len(remaining), len(rows), remaining):
-            p_cell = ideal_probability(U, t, rows)
-            if p_cell == 0.0:
-                continue
-            rest = tuple(r - c for r, c in zip(remaining, t))
-            total += p_cell * conv(cell_idx + 1, rest)
-        return total
-
-    return conv(0, s)
+    _, probs = _partition_law(U, [(1.0, partition.cells)], partition.n, input_modes, outcome)
+    return float(probs.sum())
 
 
 def _pure_component_states(state: ProductState) -> list[tuple[float, list[np.ndarray]]]:
@@ -420,10 +452,5 @@ def mixture_probability(
     input_modes: Sequence[int] | None = None,
 ) -> float:
     """Σ_Λ p_Λ · partition_probability: the partition-representation law."""
-    return float(
-        sum(
-            w * partition_probability(U, p, outcome, input_modes)
-            for p, w in dist.weights.items()
-            if w != 0.0
-        )
-    )
+    parts = [(w, p.cells) for p, w in dist.weights.items() if w != 0.0]
+    return float(_partition_law(U, parts, dist.n, input_modes, outcome)[1].sum())

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NegativeWeightError
 from .interference import (
     Outcome,
-    ideal_outcome_distribution,
+    _cell_law,
+    _mix_laws,
     pair_permanent_sums,
     real_part,
     spectrum_vector,
@@ -97,9 +98,10 @@ class _CellSampler:
         self.U = np.asarray(U, dtype=complex)
         self.inputs = inputs
         self.m = self.U.shape[1]
-        self._tables: dict[tuple[int, ...], tuple[list[Outcome], np.ndarray]] = {}
+        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def table(self, cell: tuple[int, ...]) -> tuple[list[Outcome], np.ndarray]:
+    def table(self, cell: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cell's occupation patterns, normalized probabilities and their cumsum."""
         rows = tuple(self.inputs[i] for i in cell)
         if rows not in self._tables:
             if len(rows) > MAX_CELL_PHOTONS:
@@ -107,25 +109,17 @@ class _CellSampler:
                     f"cell of {len(rows)} photons exceeds the exact-sampling "
                     f"bound {MAX_CELL_PHOTONS}"
                 )
-            dist = ideal_outcome_distribution(self.U, list(rows))
-            outcomes = list(dist.keys())
-            probs = np.array([dist[o] for o in outcomes])
+            outcomes, probs = _cell_law(self.U, rows)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum()
-            self._tables[rows] = (outcomes, np.cumsum(probs))
+            self._tables[rows] = (outcomes, probs, np.cumsum(probs))
         return self._tables[rows]
-
-    def draw(self, cell: tuple[int, ...], rng: np.random.Generator) -> Outcome:
-        outcomes, cum = self.table(cell)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return outcomes[min(idx, len(outcomes) - 1)]
 
 
 def partition_sample(config: SamplerConfig, return_cost: bool = False):
     """Draw ``config.count`` outcomes; deterministic for a fixed seed."""
     parts, weights = _normalized_weights(config.distribution)
     cells = _CellSampler(config.unitary, config.inputs())
-    m = cells.m
     cum_w = np.cumsum(weights)
 
     samples: list[Outcome] = []
@@ -134,9 +128,11 @@ def partition_sample(config: SamplerConfig, return_cost: bool = False):
         rng = np.random.default_rng([config.seed, i])
         p = parts[min(int(np.searchsorted(cum_w, rng.random(), side="right")), len(parts) - 1)]
         drawn.append(p)
-        acc = np.zeros(m, dtype=int)
+        acc = np.zeros(cells.m, dtype=int)
         for cell in p.cells:
-            acc += np.array(cells.draw(cell, rng))
+            outcomes, _, cum = cells.table(cell)
+            idx = int(np.searchsorted(cum, rng.random(), side="right"))
+            acc += outcomes[min(idx, len(outcomes) - 1)]
         samples.append(tuple(int(v) for v in acc))
     if return_cost:
         return samples, CostReport.from_partitions(drawn)
@@ -151,25 +147,9 @@ def sampler_exact_distribution(config: SamplerConfig) -> dict[Outcome, float]:
     """
     parts, weights = _normalized_weights(config.distribution)
     cells = _CellSampler(config.unitary, config.inputs())
-    m = cells.m
-
-    total: dict[Outcome, float] = {}
-    for p, w in zip(parts, weights):
-        acc: dict[Outcome, float] = {tuple([0] * m): 1.0}
-        for cell in p.cells:
-            outcomes, cum = cells.table(cell)
-            probs = np.diff(cum, prepend=0.0)
-            nxt: dict[Outcome, float] = {}
-            for base, pb in acc.items():
-                for o, po in zip(outcomes, probs):
-                    if po == 0.0:
-                        continue
-                    key = tuple(b + v for b, v in zip(base, o))
-                    nxt[key] = nxt.get(key, 0.0) + pb * po
-            acc = nxt
-        for o, v in acc.items():
-            total[o] = total.get(o, 0.0) + w * v
-    return total
+    tables = zip(weights, (p.cells for p in parts))
+    occ, probs = _mix_laws(tables, lambda cell: cells.table(cell)[:2], cells.m)
+    return dict(zip(map(tuple, occ.tolist()), probs.tolist()))
 
 
 def obb_cost_curve(n: int, x: float) -> float:

@@ -11,12 +11,8 @@ import json
 import math
 from typing import Any
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - declared dependency
-    jsonschema = None
 
 from .errors import SchemaError
 from .interference import UNITARY_TOL, check_unitary
@@ -145,8 +141,6 @@ DISTRIBUTION_SCHEMA = {
 
 
 def validate_schema(doc: Any, schema: dict) -> None:
-    if jsonschema is None:
-        return
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:

@@ -16,6 +16,7 @@ from partmix.interference import (
     Interferometer,
     check_unitary,
     fock_oracle_probability,
+    ideal_outcome_distribution,
     ideal_probability,
     mixture_probability,
     no_collision_outcomes,
@@ -26,7 +27,7 @@ from partmix.interference import (
     permanents,
     probability_from_spectrum,
 )
-from partmix.partitions import SetPartition, enumerate_partitions
+from partmix.partitions import PartitionDistribution, SetPartition, enumerate_partitions
 from partmix.spectrum import ideal_spectrum, spectrum_from_class_values, spectrum_of
 from partmix.partitions import forward_map
 from partmix.states import (
@@ -188,7 +189,7 @@ def test_engine_batches_are_exact(monkeypatch):
     U = random_unitary(rng, 5)
     outcomes = [(1, 1, 0, 1, 1), (2, 0, 1, 0, 1)]
     whole = [probability_from_spectrum(U, spec, o) for o in outcomes]
-    monkeypatch.setattr(interference, "PAIR_CHUNK_ENTRIES", 40)  # 2 permutations per batch
+    monkeypatch.setattr(interference, "STACK_CHUNK_ENTRIES", 40)  # 2 permutations per batch
     for o, p in zip(outcomes, whole):
         assert probability_from_spectrum(U, spec, o) == pytest.approx(p, abs=1e-15)
 
@@ -413,3 +414,113 @@ def test_outcome_validation():
         probability_from_spectrum(BS, ideal_spectrum(2), (1, 0))
     with pytest.raises(ValueError):
         partition_probability(BS, SetPartition.full(2), (1, 1, 1))
+
+
+def test_outcome_patterns_order():
+    for m, n in [(1, 2), (3, 0), (3, 3), (4, 2), (5, 3)]:
+        every = [s for s in itertools.product(range(n + 1), repeat=m) if sum(s) == n]
+        assert outcome_patterns(m, n) == every
+        bound = [1, 0, 2, 1, 3][:m]
+        assert outcome_patterns(m, n, bound) == [
+            s for s in every if all(v <= b for v, b in zip(s, bound))
+        ]
+        combinations = itertools.combinations(range(m), n)
+        first_modes_first = [tuple(int(j in c) for j in range(m)) for c in combinations]
+        assert no_collision_outcomes(m, n) == first_modes_first
+
+
+def test_ideal_probability_validates_outcome():
+    U = random_unitary(np.random.default_rng(64), 4)
+    for outcome in [(1, 1), (1, 1, 0, 0, 0, 0), (2, -1, 0, 0)]:
+        with pytest.raises(ValueError, match="outcome"):
+            ideal_probability(U, outcome)
+        with pytest.raises(ValueError, match="outcome"):
+            partition_probability(U, SetPartition.full(2), outcome)
+
+
+def test_cell_laws_match_ideal_probability():
+    from partmix.interference import _cell_law
+
+    rng = np.random.default_rng(65)
+    for k, m in [(1, 4), (2, 5), (3, 6), (4, 6), (5, 7)]:
+        U = random_unitary(rng, m)
+        rows = [int(j) for j in rng.permutation(m)[:k]]
+        law = ideal_outcome_distribution(U, rows)
+        assert list(law) == outcome_patterns(m, k)
+        for outcome, p in law.items():
+            assert p == pytest.approx(ideal_probability(U, outcome, rows), abs=1e-15)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        bound = [1] * m if k == 1 else [2, 0] + [1] * (m - 2)
+        occ, probs = _cell_law(U, rows, bound)
+        assert [tuple(o) for o in occ.tolist()] == outcome_patterns(m, k, bound)
+        for outcome, p in zip(occ.tolist(), probs):
+            assert p == pytest.approx(ideal_probability(U, outcome, rows), abs=1e-15)
+
+
+def test_partition_probability_matches_oracle_remapped():
+    rng = np.random.default_rng(66)
+    for n, m in [(2, 6), (3, 6), (4, 5)]:
+        U = random_unitary(rng, m)
+        inputs = [int(j) for j in rng.permutation(m)[:n]]
+        for lam in enumerate_partitions(n):
+            state = partition_state(lam)
+            for outcome in outcome_patterns(m, n):
+                assert partition_probability(
+                    U, lam, outcome, input_modes=inputs
+                ) == pytest.approx(
+                    fock_oracle_probability(state, U, outcome, input_modes=inputs), abs=1e-14
+                )
+
+
+def test_mixture_builds_each_cell_law_once(monkeypatch):
+    from partmix import interference
+
+    built = []
+    real = interference._cell_law
+
+    def counted(U, rows, bound=None):
+        built.append(tuple(rows))
+        return real(U, rows, bound)
+
+    monkeypatch.setattr(interference, "_cell_law", counted)
+    dist = obb_partition_distribution(4, 0.6)
+    U = random_unitary(np.random.default_rng(67), 5)
+    mixture_probability(U, dist, (1, 1, 0, 1, 1))
+    cells = {c for p, w in dist.weights.items() if w != 0.0 for c in p.cells}
+    assert sorted(built) == sorted(cells)
+
+
+def test_unbounded_law_is_exact_beyond_int64_keys():
+    from partmix.sampling import SamplerConfig, sampler_exact_distribution
+
+    m = 64  # 3^64 occupation keys would not fit in 64 bits
+    U = random_unitary(np.random.default_rng(68), m)
+    dist = PartitionDistribution.of(2, {SetPartition.singletons(2): 1.0})
+    law = sampler_exact_distribution(SamplerConfig(U, dist, seed=0, count=1))
+    assert len(law) == m * (m + 1) // 2
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def alone(photon, mode):
+        return ideal_probability(U, [int(j == mode) for j in range(m)], [photon])
+
+    for a, b in [(0, 63), (5, 40), (62, 63), (17, 17), (63, 63)]:
+        outcome = [0] * m
+        outcome[a] += 1
+        outcome[b] += 1
+        expected = alone(0, a) * alone(1, b) + (alone(0, b) * alone(1, a) if a != b else 0.0)
+        assert law[tuple(outcome)] == pytest.approx(expected, abs=1e-15)
+
+
+def test_mixture_law_at_seven_and_eight_photons():
+    rng = np.random.default_rng(69)
+    for n, outcomes in [
+        (7, [(1, 1, 1, 1, 1, 1, 1, 0, 0), (2, 0, 1, 1, 0, 1, 1, 1, 0)]),
+        (8, [(1, 1, 0, 1, 1, 1, 1, 1, 1)]),
+    ]:
+        U = random_unitary(rng, 9)
+        dist = obb_partition_distribution(n, 0.6)
+        spec = spectrum_of(obb_state(n, 0.6))
+        for outcome in outcomes:
+            assert mixture_probability(U, dist, outcome) == pytest.approx(
+                probability_from_spectrum(U, spec, outcome), abs=1e-12
+            )

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,22 @@ def test_canonical_dumps_is_sorted_and_fixed_precision():
     doc = {"b": 1 / 3, "a": [True, None, 2]}
     text = canonical_dumps(doc)
     assert text == '{"a":[true,null,2],"b":0.33333333333333331}'
+
+
+def test_missing_jsonschema_fails_the_import():
+    import partmix
+
+    code = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "try:\n"
+        "    import partmix.serialize\n"
+        "except ImportError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(partmix.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_canonical_dumps_rejects_non_finite():
