@@ -21,8 +21,8 @@ import numpy as np
 from . import reconstruct, sampling, serialize, spectrum as spectrum_mod, tomography
 from .errors import PartmixError, SchemaError
 from .interference import (
-    _partition_law,
     fock_oracle_probability,
+    partition_law,
     partition_probability,
     probability_from_spectrum,
 )
@@ -315,7 +315,7 @@ def _cmd_partition_prob(args):
     if inputs is not None:
         cfg["input_modes"] = inputs
     if args.all_outcomes:
-        occ, probs = _partition_law(U, [(1.0, p.cells)], p.n, inputs)
+        occ, probs = partition_law(U, p, inputs)
         table = [{"outcome": o, "p": v} for o, v in zip(occ.tolist(), probs.tolist())]
         _emit_artifact(args, cfg, {"table": table})
     else:

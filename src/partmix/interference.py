@@ -148,13 +148,13 @@ def _patterns(m: int, n: int, bound: Sequence[int] | None = None):
     """Every occupation vector of n photons in m modes (at most ``bound`` mode by
     mode) in lexicographic order, as (P, n) sorted output modes and (P, m)
     occupations. Sorted mode lists run in the reverse order of their vectors."""
-    if bound is None:
-        lists = list(itertools.combinations_with_replacement(range(m), n))
-    else:
-        pool = [j for j, c in enumerate(bound) for _ in range(min(int(c), n))]
-        lists = sorted(set(itertools.combinations(pool, n)))
+    bound = np.full(m, n) if bound is None else np.asarray(bound)
+    modes = [j for j in range(m) if bound[j] > 0]
+    lists = list(itertools.combinations_with_replacement(modes, n))
     slots = np.array(lists[::-1], dtype=np.int64).reshape(len(lists), n)
-    return slots, (slots[:, :, None] == np.arange(m)).sum(axis=1)
+    occ = (slots[:, :, None] == np.arange(m)).sum(axis=1)
+    keep = (occ <= bound).all(axis=1)
+    return slots[keep], occ[keep]
 
 
 def outcome_patterns(m: int, n: int, bound: Sequence[int] | None = None) -> list[Outcome]:
@@ -177,7 +177,9 @@ def _check_outcome(outcome: Sequence[int], n: int, m: int) -> Outcome:
     return s
 
 
-def _default_inputs(n: int, m: int, input_modes: Sequence[int] | None) -> list[int]:
+def check_inputs(n: int, m: int, input_modes: Sequence[int] | None) -> list[int]:
+    """The input modes of n photons in m modes, 0..n-1 by default; ValueError
+    unless they are n distinct integers in 0..m-1."""
     if input_modes is None:
         modes = list(range(n))
     else:
@@ -250,7 +252,7 @@ def probability_from_spectrum(
     check_unitary(U)
     m = U.shape[1]
     s = _check_outcome(outcome, n, m)
-    inputs = _default_inputs(n, m, input_modes)
+    inputs = check_inputs(n, m, input_modes)
     cols = [j for j, c in enumerate(s) for _ in range(c)]
     A = U[np.ix_(inputs, cols)][None]
     total = pair_permanent_sums(A, spectrum_vector(spec)[:, None])[0, 0]
@@ -263,18 +265,18 @@ def ideal_probability(
     """Ideal indistinguishable probability |Perm(U^[s])|^2 / prod_j s_j!."""
     U = np.asarray(U, dtype=complex)
     n = sum(int(v) for v in outcome)
-    rows = _default_inputs(n, U.shape[1], input_modes)
+    rows = check_inputs(n, U.shape[1], input_modes)
     s = _check_outcome(outcome, n, U.shape[1])
     cols = [j for j, c in enumerate(s) for _ in range(c)]
     val = permanent(U[np.ix_(rows, cols)])
     return float(abs(val) ** 2 / math.prod(math.factorial(c) for c in s))
 
 
-def _cell_law(U: np.ndarray, rows: Sequence[int], bound: Sequence[int] | None = None):
-    """Every occupation pattern of the photons fed in ``rows``, in
-    ``outcome_patterns`` order and at most ``bound`` mode by mode, with its ideal
-    probability |perm|^2 / prod_j s_j!, from ``permanents`` stacks of at most
-    about STACK_CHUNK_ENTRIES matrix entries."""
+def cell_law(U: np.ndarray, rows: Sequence[int], bound: Sequence[int] | None = None):
+    """The ideal law of the photons fed in ``rows``: a (P, m) array of every
+    occupation pattern, in ``outcome_patterns`` order and at most ``bound`` mode
+    by mode, and the (P,) probabilities |perm|^2 / prod_j s_j!, from
+    ``permanents`` stacks of at most about STACK_CHUNK_ENTRIES matrix entries."""
     m, k = U.shape[1], len(rows)
     cols, occ = _patterns(m, k, bound)
     step = max(1, STACK_CHUNK_ENTRIES // (k * k))
@@ -291,18 +293,18 @@ def _collect(occ: np.ndarray, probs: np.ndarray):
     return occ, np.bincount(inv.ravel(), weights=probs)
 
 
-def _mix_laws(parts, cell_law, m: int, bound: Sequence[int] | None = None):
-    """Σ_Λ w_Λ · (the convolution of Λ's cell laws) over occupation vectors, in
-    ``outcome_patterns`` order. ``parts`` pairs each w_Λ with Λ's cells, and
-    ``cell_law(cell)`` gives a cell's (patterns, probabilities); it runs once
-    per distinct cell. Partial sums above ``bound`` are dropped, so the law is
-    exact at every vector up to ``bound``."""
+def mix_laws(parts, law_of, m: int, bound: Sequence[int] | None = None):
+    """Σ_Λ w_Λ · (the convolution of Λ's cell laws) over occupation vectors, as
+    ``cell_law``'s arrays in ``outcome_patterns`` order. ``parts`` pairs each
+    w_Λ with Λ's cells, and ``law_of(cell)`` gives a cell's law in the same
+    form; it runs once per distinct cell. Partial sums above ``bound`` are
+    dropped, so the law is exact at every vector up to ``bound``."""
     laws, occs, probs = {}, [np.zeros((0, m), dtype=np.int64)], [np.zeros(0)]
     for w, cells in parts:
         occ, p = np.zeros((1, m), dtype=np.int64), np.ones(1)
         for cell in cells:
             if cell not in laws:
-                laws[cell] = cell_law(cell)
+                laws[cell] = law_of(cell)
             occ = (occ[:, None] + laws[cell][0]).reshape(-1, m)
             p = np.outer(p, laws[cell][1]).ravel()
             keep = slice(None) if bound is None else (occ <= bound).all(axis=1)
@@ -312,18 +314,18 @@ def _mix_laws(parts, cell_law, m: int, bound: Sequence[int] | None = None):
     return _collect(np.concatenate(occs), np.concatenate(probs))
 
 
-def _partition_law(U: np.ndarray, parts, n: int, input_modes=None, outcome=None):
-    """``_mix_laws`` over the ideal cell laws of n photons fed in ``input_modes``.
-    Bounded by ``outcome``, the only n-photon vector left is the outcome
-    itself, so the law's sum is the outcome's probability."""
+def partition_law(U: np.ndarray, mixture, input_modes=None, outcome=None):
+    """The photocount law of a ``SetPartition``'s partition state, or of a
+    ``PartitionDistribution``'s mixture of them, over every outcome (as
+    ``mix_laws``). Bounded by ``outcome``, the only n-photon vector left is
+    the outcome itself, so the law's sum is its probability."""
     U = np.asarray(U, dtype=complex)
-    bound = None if outcome is None else _check_outcome(outcome, n, U.shape[1])
-    inputs = _default_inputs(n, U.shape[1], input_modes)
-
-    def cell_law(cell):
-        return _cell_law(U, [inputs[i] for i in cell], bound)
-
-    return _mix_laws(parts, cell_law, U.shape[1], bound)
+    weights = {mixture: 1.0} if isinstance(mixture, SetPartition) else mixture.weights
+    parts = [(w, p.cells) for p, w in weights.items() if w != 0.0]
+    bound = None if outcome is None else _check_outcome(outcome, mixture.n, U.shape[1])
+    inputs = check_inputs(mixture.n, U.shape[1], input_modes)
+    return mix_laws(parts, lambda cell: cell_law(U, [inputs[i] for i in cell], bound),
+                    U.shape[1], bound)
 
 
 def ideal_outcome_distribution(
@@ -331,7 +333,7 @@ def ideal_outcome_distribution(
 ) -> dict[Outcome, float]:
     """Exact ideal boson-sampling law for photons fed in ``input_modes``."""
     U = np.asarray(U, dtype=complex)
-    occ, probs = _cell_law(U, _default_inputs(len(input_modes), U.shape[1], input_modes))
+    occ, probs = cell_law(U, check_inputs(len(input_modes), U.shape[1], input_modes))
     return dict(zip(map(tuple, occ.tolist()), probs.tolist()))
 
 
@@ -347,8 +349,7 @@ def partition_probability(
     convolution of each cell's ideal distribution; per-cell probabilities
     are squared sub-permanents with repeated output columns.
     """
-    _, probs = _partition_law(U, [(1.0, partition.cells)], partition.n, input_modes, outcome)
-    return float(probs.sum())
+    return float(partition_law(U, partition, input_modes, outcome)[1].sum())
 
 
 def _pure_component_states(state: ProductState) -> list[tuple[float, list[np.ndarray]]]:
@@ -430,7 +431,7 @@ def fock_oracle_probability(
     n, m = state.n, stack.shape[2]
     weights, grams = _oracle_terms(state, m)
     s = _check_outcome(outcome, n, m)
-    inputs = _default_inputs(n, m, input_modes)
+    inputs = check_inputs(n, m, input_modes)
 
     mode_slots = [j for j, c in enumerate(s) for _ in range(c)]
     assignments = np.array(sorted(set(itertools.permutations(mode_slots))))  # (F, n)
@@ -452,5 +453,4 @@ def mixture_probability(
     input_modes: Sequence[int] | None = None,
 ) -> float:
     """Σ_Λ p_Λ · partition_probability: the partition-representation law."""
-    parts = [(w, p.cells) for p, w in dist.weights.items() if w != 0.0]
-    return float(_partition_law(U, parts, dist.n, input_modes, outcome)[1].sum())
+    return float(partition_law(U, dist, input_modes, outcome)[1].sum())

@@ -18,8 +18,9 @@ import numpy as np
 from .errors import NegativeWeightError
 from .interference import (
     Outcome,
-    _cell_law,
-    _mix_laws,
+    cell_law,
+    check_inputs,
+    mix_laws,
     pair_permanent_sums,
     real_part,
     spectrum_vector,
@@ -48,9 +49,8 @@ class SamplerConfig:
             raise ValueError(f"sample count must be nonnegative, got {self.count}")
 
     def inputs(self) -> list[int]:
-        if self.input_modes is not None:
-            return list(self.input_modes)
-        return list(range(self.distribution.n))
+        m = np.asarray(self.unitary).shape[1]
+        return check_inputs(self.distribution.n, m, self.input_modes)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class _CellSampler:
                     f"cell of {len(rows)} photons exceeds the exact-sampling "
                     f"bound {MAX_CELL_PHOTONS}"
                 )
-            outcomes, probs = _cell_law(self.U, rows)
+            outcomes, probs = cell_law(self.U, rows)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum()
             self._tables[rows] = (outcomes, probs, np.cumsum(probs))
@@ -148,7 +148,7 @@ def sampler_exact_distribution(config: SamplerConfig) -> dict[Outcome, float]:
     parts, weights = _normalized_weights(config.distribution)
     cells = _CellSampler(config.unitary, config.inputs())
     tables = zip(weights, (p.cells for p in parts))
-    occ, probs = _mix_laws(tables, lambda cell: cells.table(cell)[:2], cells.m)
+    occ, probs = mix_laws(tables, lambda cell: cells.table(cell)[:2], cells.m)
     return dict(zip(map(tuple, occ.tolist()), probs.tolist()))
 
 

@@ -365,6 +365,14 @@ def test_repeated_sigma_in_spectrum_file_exits_2(capsys, tmp_path):
         assert json.loads(err)["error"]["path"] == "/values/2/sigma"
 
 
+def test_sample_bad_input_modes_exit_2(capsys):
+    base = ["sample", "--family", "obb", "--n", "2", "--x", "0.5", "--haar", "3", "--count", "5"]
+    for modes in ("-1,0", "0,9", "0,0"):
+        code, out, err = run(capsys, *base, f"--input-modes={modes}")
+        assert code == 2 and out == ""
+        assert "input modes" in json.loads(err)["error"]["message"]
+
+
 def test_negative_count_and_threads_exit_2(capsys, monkeypatch):
     base = ["sample", "--family", "obb", "--n", "2", "--x", "0.5", "--haar", "3"]
     for extra in (["--count", "-3"], ["--count", "5", "--threads", "-4"], ["--count", "5", "--threads", "0"]):

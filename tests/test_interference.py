@@ -427,6 +427,8 @@ def test_outcome_patterns_order():
         combinations = itertools.combinations(range(m), n)
         first_modes_first = [tuple(int(j in c) for j in range(m)) for c in combinations]
         assert no_collision_outcomes(m, n) == first_modes_first
+    assert outcome_patterns(6, 6, [6] * 6) == outcome_patterns(6, 6)  # 462, quickly
+    assert len(outcome_patterns(8, 4, [4] * 8)) == math.comb(11, 4)
 
 
 def test_ideal_probability_validates_outcome():
@@ -438,8 +440,8 @@ def test_ideal_probability_validates_outcome():
             partition_probability(U, SetPartition.full(2), outcome)
 
 
-def test_cell_laws_match_ideal_probability():
-    from partmix.interference import _cell_law
+def test_cell_laws_match_ideal_probability(monkeypatch):
+    from partmix import interference
 
     rng = np.random.default_rng(65)
     for k, m in [(1, 4), (2, 5), (3, 6), (4, 6), (5, 7)]:
@@ -451,10 +453,17 @@ def test_cell_laws_match_ideal_probability():
             assert p == pytest.approx(ideal_probability(U, outcome, rows), abs=1e-15)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         bound = [1] * m if k == 1 else [2, 0] + [1] * (m - 2)
-        occ, probs = _cell_law(U, rows, bound)
+        occ, probs = interference.cell_law(U, rows, bound)
         assert [tuple(o) for o in occ.tolist()] == outcome_patterns(m, k, bound)
         for outcome, p in zip(occ.tolist(), probs):
             assert p == pytest.approx(ideal_probability(U, outcome, rows), abs=1e-15)
+        whole = {None: interference.cell_law(U, rows), tuple(bound): (occ, probs)}
+        with monkeypatch.context() as patch:  # many small permanents stacks
+            patch.setattr(interference, "STACK_CHUNK_ENTRIES", 40)
+            for b, (occ_w, probs_w) in whole.items():
+                occ_c, probs_c = interference.cell_law(U, rows, b)
+                assert np.array_equal(occ_c, occ_w)
+                np.testing.assert_allclose(probs_c, probs_w, rtol=0, atol=1e-15)
 
 
 def test_partition_probability_matches_oracle_remapped():
@@ -476,13 +485,13 @@ def test_mixture_builds_each_cell_law_once(monkeypatch):
     from partmix import interference
 
     built = []
-    real = interference._cell_law
+    real = interference.cell_law
 
     def counted(U, rows, bound=None):
         built.append(tuple(rows))
         return real(U, rows, bound)
 
-    monkeypatch.setattr(interference, "_cell_law", counted)
+    monkeypatch.setattr(interference, "cell_law", counted)
     dist = obb_partition_distribution(4, 0.6)
     U = random_unitary(np.random.default_rng(67), 5)
     mixture_probability(U, dist, (1, 1, 0, 1, 1))

@@ -243,6 +243,17 @@ def test_sampler_rejects_negative_count():
         )
 
 
+def test_sampler_checks_input_modes():
+    U = random_unitary(np.random.default_rng(87), 4)
+    dist = obb_partition_distribution(2, 0.5)
+    for modes in [(-1, 0), (0, 9), (0, 0), (0, 1, 2)]:
+        config = SamplerConfig(U, dist, seed=0, count=3, input_modes=modes)
+        with pytest.raises(ValueError, match="input modes"):
+            partition_sample(config)
+        with pytest.raises(ValueError, match="input modes"):
+            sampler_exact_distribution(config)
+
+
 def test_cost_report_from_partitions():
     report = CostReport.from_partitions([SetPartition.full(2), SetPartition.singletons(2)])
     assert report.per_sample.tolist() == [8.0, 4.0]
