@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,29 +39,6 @@ KERNEL_CHUNK_ENTRIES = 1 << 20  # bound on the oracle's gathered overlap array
 STACK_CHUNK_ENTRIES = 1 << 16  # bound on the matrix entries of one permanents stack
 
 Outcome = tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Interferometer:
-    """An m x m scattering matrix with its unitarity defect on record."""
-
-    matrix: np.ndarray
-    n: int = 0  # photons fed in, metadata only
-
-    @classmethod
-    def of(cls, matrix, n: int = 0, tol: float = 1e-9) -> "Interferometer":
-        m = np.asarray(matrix, dtype=complex)
-        check_unitary(m, tol)
-        if n > m.shape[0]:
-            raise ValueError(f"{n} photons cannot occupy {m.shape[0]} distinct modes")
-        return cls(matrix=m, n=n)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        return check_unitary(self.matrix, math.inf)
 
 
 def check_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> float:

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import interference
 from .errors import NegativeWeightError
 from .interference import (
     Outcome,
@@ -179,6 +180,25 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _haar_blocks(m: int, n: int, seed: int, trials: int) -> np.ndarray:
+    """The n x n corners of ``haar_unitary(m, default_rng([seed, t]))`` for
+    t < trials, bit for bit. The first n columns of Q depend only on the first
+    n columns of the Ginibre matrix, so each chunk of at most about
+    STACK_CHUNK_ENTRIES entries takes one reduced QR of an (m, n) stack."""
+    step = max(1, interference.STACK_CHUNK_ENTRIES // (m * n))
+    blocks = []
+    for t0 in range(0, trials, step):
+        z = np.empty((min(step, trials - t0), m, n), dtype=complex)
+        for k in range(len(z)):
+            g = np.random.default_rng([seed, t0 + k])
+            z[k] = (g.standard_normal((m, m)) + 1j * g.standard_normal((m, m)))[:, :n]
+        z /= math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        blocks.append(q[:, :n] * (d / np.abs(d))[:, None, :])
+    return np.concatenate(blocks)
+
+
 @dataclass(frozen=True)
 class HaarExperimentReport:
     trials: int
@@ -205,11 +225,12 @@ def haar_variance_experiment(
 ) -> HaarExperimentReport:
     """Monte Carlo check that twirling moves outcomes toward the ideal law.
 
-    Per trial: one Haar unitary, the fixed no-collision outcome on the
-    first n output modes, and the squared deviation from the ideal
-    probability for the raw and for the twirled spectrum. One pass over the
-    pair permanents of each unitary's n x n block scores the ideal (M = 1,
-    giving |Perm|^2), raw and twirled spectra together.
+    Per trial: the n x n block of one Haar unitary (all trials drawn as one
+    stack), the fixed no-collision outcome on the first n output modes, and
+    the squared deviation from the ideal probability for the raw and for
+    the twirled spectrum. One pass over the pair permanents of each block
+    scores the ideal (M = 1, giving |Perm|^2), raw and twirled spectra
+    together.
     """
     n = state.n
     if n > MAX_HAAR_N:
@@ -222,9 +243,7 @@ def haar_variance_experiment(
     weights = np.stack(
         [np.ones(math.factorial(n)), spectrum_vector(raw), spectrum_vector(twirl(raw))], axis=1
     )
-    blocks = np.empty((trials, n, n), dtype=complex)
-    for t in range(trials):
-        blocks[t] = haar_unitary(m, np.random.default_rng([seed, t]))[:n, :n]
+    blocks = _haar_blocks(m, n, seed, trials)
     p_ideal, p_raw, p_tw = real_part(pair_permanent_sums(blocks, weights)).T
     dsq_raw = (p_raw - p_ideal) ** 2
     dsq_tw = (p_tw - p_ideal) ** 2

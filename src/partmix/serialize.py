@@ -1,4 +1,4 @@
-"""JSON schemas, loaders, and canonical serialization.
+"""Typed JSON loaders and canonical serialization.
 
 Canonical output: keys sorted, floats rendered with 17 significant digits,
 so identical inputs produce byte-identical artifacts through the CLI and
@@ -11,14 +11,14 @@ import json
 import math
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .errors import SchemaError
 from .interference import UNITARY_TOL, check_unitary
-from .partitions import PartitionDistribution, SetPartition, enumerate_partitions
+from .partitions import PartitionDistribution, SetPartition
 from .spectrum import Spectrum
 from .states import (
+    InternalState,
     Mixture,
     ProductState,
     State,
@@ -28,125 +28,104 @@ from .states import (
     partition_state,
     triad_phase_state,
 )
-from .symgroup import Permutation, enumerate_permutations
+from .symgroup import Permutation
 
-COMPLEX = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-PHOTON = {
-    "type": "object",
-    "oneOf": [{"required": ["ket"]}, {"required": ["rho"]}],
-    "properties": {
-        "ket": {"type": "array", "items": COMPLEX, "minItems": 1},
-        "rho": {
-            "type": "array",
-            "items": {"type": "array", "items": COMPLEX, "minItems": 1},
-            "minItems": 1,
-        },
-    },
-    "additionalProperties": False,
-}
-
-STATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {
-            "type": "string",
-            "enum": ["obb", "triad", "partition", "ideal", "negative"],
-        },
-        "n": {"type": "integer", "minimum": 1},
-        "x": {"type": "number", "minimum": 0, "maximum": 1},
-        "phi": {"type": "number"},
-        "cells": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        },
-        "dim": {"type": "integer", "minimum": 1},
-        "photons": {"type": "array", "items": PHOTON, "minItems": 1},
-        "mixture": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["weight", "photons"],
-                "properties": {
-                    "weight": {"type": "number", "minimum": 0},
-                    "photons": {"type": "array", "items": PHOTON, "minItems": 1},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-}
-
-UNITARY_SCHEMA = {
-    "type": "object",
-    "required": ["matrix"],
-    "properties": {
-        "matrix": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "items": COMPLEX, "minItems": 1},
-        },
-    },
-}
-
-SPECTRUM_SCHEMA = {
-    "type": "object",
-    "required": ["n", "values"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": 8},
-        "values": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["sigma", "re", "im"],
-                "properties": {
-                    "sigma": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "re": {"type": "number"},
-                    "im": {"type": "number"},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-}
-
-DISTRIBUTION_SCHEMA = {
-    "type": "object",
-    "required": ["n", "weights"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": 8},
-        "weights": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["partition", "weight"],
-                "properties": {
-                    "partition": {
-                        "type": "array",
-                        "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    },
-                    "weight": {"type": "number"},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-}
+# ---------------------------------------------------------------------------
+# typed readers: each walks one node at a JSON-pointer path and raises
+# SchemaError on the first fault. A bool is not a number, an integral float
+# is an integer, and a non-finite number is rejected.
 
 
-def validate_schema(doc: Any, schema: dict) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise SchemaError(path, err.message)
+_KINDS = {int: "number", float: "number", dict: "object", list: "array", str: "string",
+          bool: "boolean", type(None): "null"}
+
+
+def _kind(value: Any) -> str:
+    if type(value) in _KINDS:
+        return _KINDS[type(value)]
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def _object(value: Any, path: str, required: tuple = (), allowed: tuple | None = None) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected object, got {_kind(value)}")
+    for key in required:
+        if key not in value:
+            raise SchemaError(path, f"{key!r} is a required property")
+    if allowed is not None:
+        for key in value:
+            if key not in allowed:
+                raise SchemaError(path, f"additional property {key!r} is not allowed")
+    return value
+
+
+def _array(value: Any, path: str, min_items: int = 0) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected array, got {_kind(value)}")
+    if len(value) < min_items:
+        raise SchemaError(path, f"expected at least {min_items} item(s), got {len(value)}")
+    return value
+
+
+def _number(value: Any, path: str, lo=None, hi=None, expected: str = "number") -> float:
+    if _kind(value) != "number":
+        raise SchemaError(path, f"expected {expected}, got {_kind(value)}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise SchemaError(path, f"{value!r} is not a finite number")
+    if lo is not None and value < lo:
+        raise SchemaError(path, f"{value!r} is less than the minimum of {lo}")
+    if hi is not None and value > hi:
+        raise SchemaError(path, f"{value!r} is greater than the maximum of {hi}")
+    return v
+
+
+def _integer(value: Any, path: str, lo: int | None = None, hi: int | None = None) -> int:
+    _number(value, path, lo, hi, "integer")
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise SchemaError(path, f"expected integer, got {value!r}")
+    return int(value)
+
+
+def _complex(value: Any, path: str) -> complex:
+    pair = _array(value, path)
+    if len(pair) != 2:
+        raise SchemaError(path, "expected a [re, im] pair")
+    return complex(_number(pair[0], f"{path}/0"), _number(pair[1], f"{path}/1"))
+
+
+def _complexes(value: Any, path: str) -> list[complex]:
+    return [_complex(z, f"{path}/{j}") for j, z in enumerate(_array(value, path, min_items=1))]
+
+
+def _square(value: Any, path: str) -> np.ndarray:
+    """A non-empty square matrix of [re, im] pairs."""
+    rows = [_complexes(row, f"{path}/{i}") for i, row in enumerate(_array(value, path, 1))]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise SchemaError(f"{path}/{i}", f"row has {len(row)} entries, expected {len(rows)}")
+    return np.array(rows)
+
+
+def _indices(value: Any, path: str) -> list[int]:
+    return [_integer(v, f"{path}/{j}", lo=0) for j, v in enumerate(_array(value, path))]
+
+
+def _cells(value: Any, path: str) -> list[list[int]]:
+    return [_indices(cell, f"{path}/{i}") for i, cell in enumerate(_array(value, path))]
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with a ValueError from the builder reported at ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def _canonical(obj: Any, out: list[str]) -> None:
@@ -191,14 +170,12 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _as_complex(pair, path: str) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise SchemaError(path, "expected a [re, im] pair")
-    return complex(pair[0], pair[1])
-
-
 # ---------------------------------------------------------------------------
 # states
+
+# Each family and the fields it requires.
+_FAMILIES = {"obb": ("n", "x"), "triad": ("phi",), "partition": ("cells",), "ideal": ("n",),
+             "negative": ()}
 
 
 def state_to_json(state: State) -> dict:
@@ -223,70 +200,94 @@ def _photons_to_json(state: ProductState) -> list[dict]:
     return out
 
 
-def _photons_from_json(photons: list, path: str) -> ProductState:
-    from .states import InternalState
-
-    parsed = []
-    for i, photon in enumerate(photons):
+def _read_photons(value: Any, path: str) -> list[tuple[str, Any, np.ndarray]]:
+    """Each photon as (path, builder, array), typed but not built."""
+    out = []
+    for i, photon in enumerate(_array(value, path, min_items=1)):
+        at = f"{path}/{i}"
+        photon = _object(photon, at, allowed=("ket", "rho"))
+        if len(photon) != 1:
+            raise SchemaError(at, "a photon needs exactly one of 'ket', 'rho'")
         if "ket" in photon:
-            ket = np.array([_as_complex(z, f"{path}/{i}/ket") for z in photon["ket"]])
-            parsed.append(InternalState.from_ket(ket))
+            ket = np.array(_complexes(photon["ket"], f"{at}/ket"))
+            out.append((f"{at}/ket", InternalState.from_ket, ket))
         else:
-            rho = np.array(
-                [[_as_complex(z, f"{path}/{i}/rho") for z in row] for row in photon["rho"]]
-            )
-            parsed.append(InternalState.from_matrix(rho))
-    return ProductState(n=len(parsed), photons=tuple(parsed))
+            rho = _square(photon["rho"], f"{at}/rho")
+            out.append((f"{at}/rho", InternalState.from_matrix, rho))
+    return out
+
+
+def _read_mixture(value: Any, path: str) -> list[tuple[float, list]]:
+    out = []
+    for i, comp in enumerate(_array(value, path, min_items=1)):
+        at = f"{path}/{i}"
+        comp = _object(comp, at, required=("weight", "photons"), allowed=("weight", "photons"))
+        weight = _number(comp["weight"], f"{at}/weight", lo=0)
+        out.append((weight, _read_photons(comp["photons"], f"{at}/photons")))
+    return out
+
+
+def _family(value: Any, path: str) -> str:
+    if not isinstance(value, str) or value not in _FAMILIES:
+        raise SchemaError(path, f"{value!r} is not one of {list(_FAMILIES)}")
+    return value
+
+
+_STATE_FIELDS = {
+    "family": _family,
+    "n": lambda v, at: _integer(v, at, lo=1),
+    "x": lambda v, at: _number(v, at, 0, 1),
+    "phi": _number,
+    "cells": _cells,
+    "dim": lambda v, at: _integer(v, at, lo=1),
+    "photons": _read_photons,
+    "mixture": _read_mixture,
+}
+
+
+def _product(photons: list[tuple[str, Any, np.ndarray]], path: str) -> ProductState:
+    built = tuple(_built(at, build, a) for at, build, a in photons)
+    return _built(path, ProductState, len(built), built)
 
 
 def state_from_json(doc: dict) -> State:
-    validate_schema(doc, STATE_SCHEMA)
-    if "family" in doc:
-        return _family_state(doc)
-    if "mixture" in doc:
+    doc = _object(doc, "")
+    fields = {key: read(doc[key], f"/{key}") for key, read in _STATE_FIELDS.items() if key in doc}
+    if "family" in fields:
+        return _family_state(fields)
+    if "mixture" in fields:
         comps = tuple(
-            (float(c["weight"]), _photons_from_json(c["photons"], f"/mixture/{i}/photons"))
-            for i, c in enumerate(doc["mixture"])
+            (w, _product(photons, f"/mixture/{i}/photons"))
+            for i, (w, photons) in enumerate(fields["mixture"])
         )
-        state: State = Mixture(n=comps[0][1].n, components=comps)
+        state: State = _built("/mixture", Mixture, comps[0][1].n, comps)
         dim = comps[0][1].dim
-    elif "photons" in doc:
-        state = _photons_from_json(doc["photons"], "/photons")
+    elif "photons" in fields:
+        state = _product(fields["photons"], "/photons")
         dim = state.dim
     else:
         raise SchemaError("", "state needs one of: family, photons, mixture")
-    if "n" in doc and doc["n"] != state.n:
-        raise SchemaError("/n", f"declared n={doc['n']} but found {state.n} photons")
-    if "dim" in doc and doc["dim"] != dim:
-        raise SchemaError("/dim", f"declared dim={doc['dim']} but photons have dim {dim}")
+    if "n" in fields and fields["n"] != state.n:
+        raise SchemaError("/n", f"declared n={fields['n']} but found {state.n} photons")
+    if "dim" in fields and fields["dim"] != dim:
+        raise SchemaError("/dim", f"declared dim={fields['dim']} but photons have dim {dim}")
     return state
 
 
-def _family_state(doc: dict) -> State:
-    family = doc["family"]
+def _family_state(fields: dict) -> State:
+    family = fields["family"]
+    for key in _FAMILIES[family]:
+        if key not in fields:
+            raise SchemaError(f"/{key}", f"family {family!r} requires {key!r}")
     if family == "obb":
-        _need(doc, ["n", "x"], "obb")
-        return obb_state(int(doc["n"]), float(doc["x"]))
+        return _built("/n", obb_state, fields["n"], fields["x"])
     if family == "triad":
-        _need(doc, ["phi"], "triad")
-        return triad_phase_state(float(doc["phi"]))
+        return triad_phase_state(fields["phi"])
     if family == "partition":
-        _need(doc, ["cells"], "partition")
-        cells = doc["cells"]
-        n = sum(len(c) for c in cells)
-        return partition_state(SetPartition.of(n, cells))
+        return partition_state(partition_from_cells(fields["cells"]))
     if family == "ideal":
-        _need(doc, ["n"], "ideal")
-        return ideal_state(int(doc["n"]))
-    if family == "negative":
-        return negative_partition_state()
-    raise SchemaError("/family", f"unknown family {family!r}")
-
-
-def _need(doc: dict, keys: list[str], family: str) -> None:
-    for k in keys:
-        if k not in doc:
-            raise SchemaError(f"/{k}", f"family {family!r} requires {k!r}")
+        return ideal_state(fields["n"])
+    return negative_partition_state()
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +299,24 @@ def spectrum_to_json(spec: Spectrum) -> dict:
 
 
 def spectrum_from_json(doc: dict) -> Spectrum:
-    validate_schema(doc, SPECTRUM_SCHEMA)
-    n = doc["n"]
+    doc = _object(doc, "", required=("n", "values"))
+    n = _integer(doc["n"], "/n", lo=1, hi=8)
+    identity = list(range(n))
     values = {}
-    for i, rec in enumerate(doc["values"]):
-        sigma = rec["sigma"]
-        if sorted(sigma) != list(range(n)):
-            raise SchemaError(f"/values/{i}/sigma", f"not a permutation of 0..{n - 1}")
+    for i, rec in enumerate(_array(doc["values"], "/values")):
+        at = f"/values/{i}"
+        rec = _object(rec, at, required=("sigma", "re", "im"), allowed=("sigma", "re", "im"))
+        sigma = _indices(rec["sigma"], f"{at}/sigma")
+        value = complex(_number(rec["re"], f"{at}/re"), _number(rec["im"], f"{at}/im"))
+        if sorted(sigma) != identity:
+            raise SchemaError(f"{at}/sigma", f"not a permutation of 0..{n - 1}")
         key = Permutation(tuple(sigma))
         if key in values:
-            raise SchemaError(f"/values/{i}/sigma", f"permutation {sigma} appears twice")
-        values[key] = complex(rec["re"], rec["im"])
-    expected = set(enumerate_permutations(n))
-    if set(values) != expected:
-        raise SchemaError("/values", f"spectrum must cover all {len(expected)} permutations")
+            raise SchemaError(f"{at}/sigma", f"permutation {sigma} appears twice")
+        values[key] = value
+    total = math.factorial(n)
+    if len(values) != total:
+        raise SchemaError("/values", f"spectrum must cover all {total} permutations")
     return Spectrum(n, values)
 
 
@@ -332,19 +337,9 @@ def unitary_to_json(U: np.ndarray) -> dict:
 
 
 def unitary_from_json(doc: dict, defect_tol: float = UNITARY_TOL) -> np.ndarray:
-    validate_schema(doc, UNITARY_SCHEMA)
-    rows = doc["matrix"]
-    m = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            raise SchemaError(f"/matrix/{i}", f"row has {len(row)} entries, expected {m}")
-    U = np.array(
-        [[_as_complex(z, f"/matrix/{i}/{j}") for j, z in enumerate(row)] for i, row in enumerate(rows)]
-    )
-    try:
-        check_unitary(U, defect_tol)
-    except ValueError as exc:
-        raise SchemaError("/matrix", str(exc)) from None
+    doc = _object(doc, "", required=("matrix",))
+    U = _square(doc["matrix"], "/matrix")
+    _built("/matrix", check_unitary, U, defect_tol)
     return U
 
 
@@ -357,22 +352,24 @@ def distribution_to_json(dist: PartitionDistribution) -> dict:
 
 
 def distribution_from_json(doc: dict) -> PartitionDistribution:
-    validate_schema(doc, DISTRIBUTION_SCHEMA)
-    n = doc["n"]
-    valid = set(enumerate_partitions(n))
+    doc = _object(doc, "", required=("n", "weights"))
+    n = _integer(doc["n"], "/n", lo=1, hi=8)
     weights = {}
-    for i, rec in enumerate(doc["weights"]):
-        try:
-            p = SetPartition.of(n, rec["partition"])
-        except ValueError as exc:
-            raise SchemaError(f"/weights/{i}/partition", str(exc)) from exc
-        if p not in valid:
-            raise SchemaError(f"/weights/{i}/partition", "not a valid partition")
-        weights[p] = float(rec["weight"])
+    for i, rec in enumerate(_array(doc["weights"], "/weights")):
+        at = f"/weights/{i}"
+        rec = _object(rec, at, required=("partition", "weight"), allowed=("partition", "weight"))
+        p = partition_from_cells(rec["partition"], n, f"{at}/partition")
+        weight = _number(rec["weight"], f"{at}/weight")
+        if p in weights:
+            raise SchemaError(f"{at}/partition", f"partition {p.to_json()} appears twice")
+        weights[p] = weight
     return PartitionDistribution.of(n, weights)
 
 
-def partition_from_cells(cells, n: int | None = None) -> SetPartition:
-    if n is None:
-        n = sum(len(c) for c in cells)
-    return SetPartition.of(n, cells)
+def partition_from_cells(cells: Any, n: int | None = None, path: str = "/cells") -> SetPartition:
+    """The set partition of 0..n-1 given by JSON cells such as [[0, 1], [2]];
+    n defaults to the number of elements listed."""
+    cells = _cells(cells, path)
+    if not cells or not all(cells):
+        raise SchemaError(path, "a partition needs one or more cells, none of them empty")
+    return _built(path, SetPartition.of, sum(map(len, cells)) if n is None else n, cells)

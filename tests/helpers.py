@@ -103,3 +103,134 @@ def haar_experiment_reference(state, m, trials, seed):
         "se_raw": dsq_raw.std(ddof=1) / root,
         "se_twirled": dsq_tw.std(ddof=1) / root,
     }
+
+
+# ---------------------------------------------------------------------------
+# JSON Schema (draft 2020-12) versions of the four document formats, the slow
+# reference that the typed loaders in ``partmix.serialize`` are checked against.
+
+COMPLEX_SCHEMA = {
+    "type": "array",
+    "items": {"type": "number"},
+    "minItems": 2,
+    "maxItems": 2,
+}
+
+PHOTON_SCHEMA = {
+    "type": "object",
+    "oneOf": [{"required": ["ket"]}, {"required": ["rho"]}],
+    "properties": {
+        "ket": {"type": "array", "items": COMPLEX_SCHEMA, "minItems": 1},
+        "rho": {
+            "type": "array",
+            "items": {"type": "array", "items": COMPLEX_SCHEMA, "minItems": 1},
+            "minItems": 1,
+        },
+    },
+    "additionalProperties": False,
+}
+
+STATE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "family": {
+            "type": "string",
+            "enum": ["obb", "triad", "partition", "ideal", "negative"],
+        },
+        "n": {"type": "integer", "minimum": 1},
+        "x": {"type": "number", "minimum": 0, "maximum": 1},
+        "phi": {"type": "number"},
+        "cells": {
+            "type": "array",
+            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        },
+        "dim": {"type": "integer", "minimum": 1},
+        "photons": {"type": "array", "items": PHOTON_SCHEMA, "minItems": 1},
+        "mixture": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["weight", "photons"],
+                "properties": {
+                    "weight": {"type": "number", "minimum": 0},
+                    "photons": {"type": "array", "items": PHOTON_SCHEMA, "minItems": 1},
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+}
+
+UNITARY_SCHEMA = {
+    "type": "object",
+    "required": ["matrix"],
+    "properties": {
+        "matrix": {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "array", "items": COMPLEX_SCHEMA, "minItems": 1},
+        },
+    },
+}
+
+SPECTRUM_SCHEMA = {
+    "type": "object",
+    "required": ["n", "values"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 1, "maximum": 8},
+        "values": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["sigma", "re", "im"],
+                "properties": {
+                    "sigma": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                    "re": {"type": "number"},
+                    "im": {"type": "number"},
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+}
+
+DISTRIBUTION_SCHEMA = {
+    "type": "object",
+    "required": ["n", "weights"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 1, "maximum": 8},
+        "weights": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["partition", "weight"],
+                "properties": {
+                    "partition": {
+                        "type": "array",
+                        "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                    },
+                    "weight": {"type": "number"},
+                },
+                "additionalProperties": False,
+            },
+        },
+    },
+}
+
+
+def schema_accepts(doc, schema) -> bool:
+    """Whether ``doc`` is valid under ``schema`` by jsonschema; skips the test
+    when jsonschema is not installed."""
+    import pytest
+
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+
+def has_non_finite(doc) -> bool:
+    if isinstance(doc, dict):
+        return any(has_non_finite(v) for v in doc.values())
+    if isinstance(doc, list):
+        return any(has_non_finite(v) for v in doc)
+    return isinstance(doc, float) and not math.isfinite(doc)

@@ -365,6 +365,46 @@ def test_repeated_sigma_in_spectrum_file_exits_2(capsys, tmp_path):
         assert json.loads(err)["error"]["path"] == "/values/2/sigma"
 
 
+def test_non_finite_inputs_exit_2_with_a_pointer(capsys, tmp_path, recwarn):
+    dist = {
+        "n": 2,
+        "weights": [
+            {"partition": [[0, 1]], "weight": "@"},
+            {"partition": [[0], [1]], "weight": 1.0},
+        ],
+    }
+    spec = spectrum_to_json(spectrum_of(obb_state(2, 0.7)))
+    spec["values"][1]["re"] = "@"
+    cases = []
+    for text in ("NaN", "1e309", "-Infinity"):
+        dpath, spath = tmp_path / f"d{len(cases)}.json", tmp_path / f"s{len(cases)}.json"
+        dpath.write_text(json.dumps(dist).replace('"@"', text))
+        spath.write_text(json.dumps(spec).replace('"@"', text))
+        cases.append((["sample", "--distribution", str(dpath), "--haar", "3", "--count", "5"],
+                      "/weights/0/weight"))
+        cases.append((["probability", "--spectrum", str(spath), "--haar", "2", "--outcome", "1,1"],
+                      "/values/1/re"))
+    for argv, path in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1  # one JSON error line, no traceback
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "schema" and payload["path"] == path
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_empty_cells_exit_2(capsys):
+    # an empty cell used to end in an IndexError traceback
+    for argv in (
+        ["spectrum", "--family", "partition", "--cells", "[[0], []]"],
+        ["partition-prob", "--cells", "[[]]", "--haar", "3", "--outcome", "1,0,0"],
+        ["partition-prob", "--cells", "5", "--haar", "3", "--outcome", "1,0,0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["path"] == "/cells"
+
+
 def test_sample_bad_input_modes_exit_2(capsys):
     base = ["sample", "--family", "obb", "--n", "2", "--x", "0.5", "--haar", "3", "--count", "5"]
     for modes in ("-1,0", "0,9", "0,0"):

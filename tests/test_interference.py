@@ -13,7 +13,6 @@ from helpers import (
     ryser_reference,
 )
 from partmix.interference import (
-    Interferometer,
     check_unitary,
     fock_oracle_probability,
     ideal_outcome_distribution,
@@ -82,17 +81,6 @@ def test_permanent_bounds_and_empty():
         permanent(np.eye(17), "ryser")
     with pytest.raises(ValueError):
         permanent(np.eye(3), "glynn")
-
-
-def test_interferometer_validation():
-    rng = np.random.default_rng(42)
-    U = random_unitary(rng, 4)
-    inter = Interferometer.of(U, n=3)
-    assert inter.unitarity_defect() < 1e-12
-    with pytest.raises(ValueError):
-        Interferometer.of(U * 1.01)
-    with pytest.raises(ValueError):
-        Interferometer.of(U, n=5)
 
 
 def test_engine_rejects_non_unitary_matrices():

@@ -11,6 +11,7 @@ from partmix.interference import mixture_probability, outcome_patterns
 from partmix.partitions import PartitionDistribution, SetPartition
 from partmix.sampling import (
     MAX_HAAR_N,
+    _haar_blocks,
     CostReport,
     SamplerConfig,
     haar_unitary,
@@ -231,6 +232,28 @@ def test_haar_experiment_matches_per_trial_loop():
         reference = haar_experiment_reference(state, m=16, trials=1000, seed=85 + n)
         for key, value in reference.items():
             assert getattr(report, key) == pytest.approx(value, rel=1e-12)
+
+
+def _per_trial_blocks(m, n, seed, trials):
+    return np.stack(
+        [haar_unitary(m, np.random.default_rng([seed, t]))[:n, :n] for t in range(trials)]
+    )
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (3, 16), (6, 6)])
+def test_stacked_haar_blocks_are_bitwise_per_trial(n, m):
+    blocks = _haar_blocks(m, n, 41, 300)
+    assert blocks.shape == (300, n, n)
+    assert np.array_equal(blocks, _per_trial_blocks(m, n, 41, 300))
+
+
+def test_stacked_haar_blocks_survive_chunking(monkeypatch):
+    from partmix import interference
+
+    expected = {(n, m): _per_trial_blocks(m, n, 42, 50) for n, m in [(1, 4), (3, 16), (6, 6)]}
+    monkeypatch.setattr(interference, "STACK_CHUNK_ENTRIES", 100)  # 2 to 25 trials per chunk
+    for (n, m), reference in expected.items():
+        assert np.array_equal(_haar_blocks(m, n, 42, 50), reference)
 
 
 def test_sampler_rejects_negative_count():
