@@ -16,7 +16,6 @@ from .errors import (
     CoherenceResidueError,
     DegenerateCalibrationError,
     NegativeWeightError,
-    NoConjugatorError,
     NormalizationError,
     PartmixError,
     SchemaError,
@@ -59,7 +58,6 @@ __all__ = [
     "DegenerateCalibrationError",
     "Mixture",
     "NegativeWeightError",
-    "NoConjugatorError",
     "NormalizationError",
     "PartitionDistribution",
     "PartitionState",

@@ -207,7 +207,7 @@ def _resolve_unitary(args):
 def _parse_outcome(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text.startswith("["):
-        return tuple(int(v) for v in _load_json(text, inline=True))
+        return tuple(serialize._indices(_load_json(text, inline=True), "/outcome"))
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
@@ -441,7 +441,9 @@ def main(argv=None) -> int:
         sys.stderr.write(parser.format_usage())
         return USAGE_EXIT
     try:
-        _threads(args)  # a bad worker cap fails before any work
+        _threads(args)  # a bad worker cap or tolerance fails before any work
+        if args.tol is not None:
+            serialize._number(args.tol, "/tol", lo=0)
         _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

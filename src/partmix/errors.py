@@ -5,10 +5,6 @@ class PartmixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NoConjugatorError(PartmixError, ValueError):
-    """Raised when two permutations have different cycle structures."""
-
-
 class NormalizationError(PartmixError, ValueError):
     """Raised when a state vector or density matrix fails its norm check."""
 

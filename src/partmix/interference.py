@@ -21,17 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .partitions import SetPartition
-from .spectrum import Spectrum
+from .spectrum import Spectrum, spectrum_vector
 from .states import Mixture, ProductState, State
-from .symgroup import Permutation, enumerate_permutations
+from .symgroup import group_table
 
-NAIVE_PERMANENT_MAX = 8
 RYSER_PERMANENT_MAX = 16
 MAX_ENGINE_N = 8
 UNITARY_TOL = 1e-6
@@ -50,17 +48,6 @@ def check_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> float:
     if not defect <= tol:
         raise ValueError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
     return defect
-
-
-def _permanent_naive(a: np.ndarray) -> complex:
-    k = a.shape[0]
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(k)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= a[i, j]
-        total += prod
-    return total
 
 
 def permanents(mats: np.ndarray) -> np.ndarray:
@@ -88,36 +75,13 @@ def permanents(mats: np.ndarray) -> np.ndarray:
     return (total if k % 2 == 0 else -total).T
 
 
-def permanent(a: np.ndarray, method: str = "ryser") -> complex:
+def permanent(a: np.ndarray) -> complex:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent needs a square matrix")
-    k = a.shape[0]
-    if method == "naive":
-        if k > NAIVE_PERMANENT_MAX:
-            raise ValueError(f"naive permanent limited to k <= {NAIVE_PERMANENT_MAX}")
-        return _permanent_naive(a)
-    if method == "ryser":
-        if k > RYSER_PERMANENT_MAX:
-            raise ValueError(f"ryser permanent limited to k <= {RYSER_PERMANENT_MAX}")
-        return permanents(a)
-    raise ValueError(f"unknown permanent method {method!r}")
-
-
-def path_amplitude(
-    U: np.ndarray,
-    sigma: Permutation,
-    input_modes: Sequence[int],
-    output_modes: Sequence[int],
-) -> complex:
-    """X_sigma: the product of matrix entries along one photon routing."""
-    U = np.asarray(U)
-    if len(input_modes) != sigma.n or len(output_modes) != sigma.n:
-        raise ValueError("mode lists must match the permutation size")
-    acc = 1.0 + 0.0j
-    for i in range(sigma.n):
-        acc *= U[input_modes[i], output_modes[sigma(i)]]
-    return acc
+    if a.shape[0] > RYSER_PERMANENT_MAX:
+        raise ValueError(f"ryser permanent limited to k <= {RYSER_PERMANENT_MAX}")
+    return permanents(a)
 
 
 def _patterns(m: int, n: int, bound: Sequence[int] | None = None):
@@ -170,26 +134,13 @@ def check_inputs(n: int, m: int, input_modes: Sequence[int] | None) -> list[int]
     return modes
 
 
-@lru_cache(maxsize=8)
-def _perm_tables(n: int) -> tuple[list[Permutation], np.ndarray]:
-    """S_n in lexicographic rank order, with the image array of each inverse."""
-    perms = list(enumerate_permutations(n))
-    return perms, np.argsort(np.array([p.images for p in perms]), axis=1)
-
-
-def spectrum_vector(spec: Spectrum) -> np.ndarray:
-    """M_sigma in the rank order of ``_perm_tables``."""
-    perms, _ = _perm_tables(spec.n)
-    return np.array([spec.values[p] for p in perms], dtype=complex)
-
-
 def pair_permanent_sums(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(T, K) sums over sigma of P[t, sigma] * weights[sigma, c] for a stack A of
     T (n, n) matrices, P[t, sigma] = perm(A_t ∘ conj(A_t[sigma^-1(.), :])) with
     sigma in rank order. One pass over P scores K spectra; each batch holds
     at most about STACK_CHUNK_ENTRIES matrix entries."""
     n = A.shape[-1]
-    _, inverses = _perm_tables(n)
+    inverses = group_table(n).inverses
     sstep = min(len(inverses), max(1, STACK_CHUNK_ENTRIES // (n * n)))
     tstep = max(1, STACK_CHUNK_ENTRIES // (sstep * n * n))
     out = np.zeros((len(A), weights.shape[1]), dtype=complex)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -80,7 +81,8 @@ class SetPartition:
         return "".join("{" + ",".join(str(i + 1) for i in c) + "}" for c in self.cells)
 
 
-def _all_rgs(n: int) -> list[tuple[int, ...]]:
+def _all_rgs(n: int) -> np.ndarray:
+    """Every restricted growth string of length n, as (B_n, n) rows in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
     def grow(prefix: list[int], top: int):
@@ -93,16 +95,68 @@ def _all_rgs(n: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     grow([0], 0)
-    return out
+    return np.array(out, dtype=np.intp).reshape(len(out), n)
+
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The partition lattice of 0..n-1 as arrays, shared by every lattice solve.
+
+    ``partitions`` runs coarsest first (cell count, then RGS) and
+    ``finest_first`` by decreasing cell count, then RGS; ``rgs`` and
+    ``num_cells`` follow ``partitions``. Each comparable pair, the diagonal
+    included, appears once as ``partitions[coarse[k]] ⪰ partitions[fine[k]]``,
+    sorted by fine, then coarse index.
+    """
+
+    n: int
+    partitions: tuple[SetPartition, ...]
+    finest_first: tuple[SetPartition, ...]
+    rgs: np.ndarray = field(repr=False)
+    num_cells: np.ndarray = field(repr=False)
+    coarse: np.ndarray = field(repr=False)
+    fine: np.ndarray = field(repr=False)
+
+    def locate(self, rgs: np.ndarray) -> np.ndarray:
+        """The index in ``partitions`` of each row of restricted growth strings."""
+        return _locator(self.rgs)(rgs)
+
+
+def _locator(rgs: np.ndarray):
+    """A map from restricted growth strings to their row index in ``rgs``."""
+    powers = rgs.shape[1] ** np.arange(rgs.shape[1] - 1, -1, -1)
+    keys = rgs @ powers
+    order = np.argsort(keys)
+    return lambda rows: order[np.searchsorted(keys[order], rows @ powers)]
+
+
+@lru_cache(maxsize=None)
+def lattice(n: int) -> Lattice:
+    """The cached partition lattice of 0..n-1. A partition with k cells has
+    B_k coarsenings, one per partition of its cells, so the pairs are built by
+    merging cells rather than by testing all B_n^2 candidates."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    lex = _all_rgs(n)
+    rgs = lex[np.argsort(lex.max(axis=1), kind="stable")]
+    num_cells = rgs.max(axis=1) + 1
+    locate = _locator(rgs)
+    coarse, fine = [], []
+    for k in range(1, n + 1):
+        members = np.flatnonzero(num_cells == k)
+        merges = _all_rgs(k)  # merges[a, c]: the cell that cell c joins in merge a
+        coarse.append(locate(merges[:, rgs[members]].reshape(-1, n)))
+        fine.append(np.tile(members, len(merges)))
+    coarse, fine = np.concatenate(coarse), np.concatenate(fine)
+    by_fine = np.lexsort((coarse, fine))
+    parts = tuple(SetPartition.from_rgs(r) for r in rgs.tolist())
+    finest_first = tuple(sorted(parts, key=lambda p: p.num_cells, reverse=True))
+    return Lattice(n, parts, finest_first, rgs, num_cells, coarse[by_fine], fine[by_fine])
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """All B_n partitions, finest first (decreasing cell count, then lex by RGS)."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    parts = [SetPartition.from_rgs(r) for r in _all_rgs(n)]
-    parts.sort(key=lambda p: (-p.num_cells, p.rgs()))
-    return parts
+    return list(lattice(n).finest_first)
 
 
 def matrix_order(n: int) -> list[SetPartition]:
@@ -111,11 +165,7 @@ def matrix_order(n: int) -> list[SetPartition]:
     Under this order the refinement indicator matrix is lower triangular
     with unit diagonal; forward substitution runs top to bottom.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
-    parts = [SetPartition.from_rgs(r) for r in _all_rgs(n)]
-    parts.sort(key=lambda p: (p.num_cells, p.rgs()))
-    return parts
+    return list(lattice(n).partitions)
 
 
 def refines(a: SetPartition, b: SetPartition) -> bool:
@@ -136,34 +186,6 @@ def stabilizer_size(p: SetPartition) -> int:
 
 
 @dataclass(frozen=True)
-class ReconstructionMatrix:
-    """0/1 indicator of the refinement order over all B_n partitions.
-
-    entry[r, c] = 1 iff partitions[c] ⪰ partitions[r]. Rows and columns share
-    the coarsest-first canonical order, making the matrix lower triangular
-    with unit diagonal (determinant 1).
-    """
-
-    n: int
-    partitions: tuple[SetPartition, ...]
-    entries: np.ndarray = field(repr=False)
-
-    def index(self, p: SetPartition) -> int:
-        return self.partitions.index(p)
-
-
-def build_reconstruction_matrix(n: int) -> ReconstructionMatrix:
-    parts = matrix_order(n)
-    b = len(parts)
-    entries = np.zeros((b, b), dtype=np.int64)
-    for r, row in enumerate(parts):
-        for c, col in enumerate(parts):
-            if refines(col, row):
-                entries[r, c] = 1
-    return ReconstructionMatrix(n, tuple(parts), entries)
-
-
-@dataclass(frozen=True)
 class PartitionDistribution:
     """Quasi-probability weights over all B_n partitions (may be negative)."""
 
@@ -172,7 +194,7 @@ class PartitionDistribution:
 
     @classmethod
     def of(cls, n: int, weights: Mapping[SetPartition, float]) -> "PartitionDistribution":
-        dense = {p: 0.0 for p in enumerate_partitions(n)}
+        dense = dict.fromkeys(lattice(n).finest_first, 0.0)
         for p, w in weights.items():
             if p not in dense:
                 raise ValueError(f"{p} is not a partition of 0..{n - 1}")
@@ -197,12 +219,23 @@ class PartitionDistribution:
 
 def forward_map(dist: PartitionDistribution) -> dict[SetPartition, float]:
     """Class values implied by a partition distribution: M_Π = Σ_{Λ ⪰ Π} p_Λ."""
-    out = {}
-    for pi in enumerate_partitions(dist.n):
-        out[pi] = float(
-            sum(w for lam, w in dist.weights.items() if w != 0.0 and refines(lam, pi))
-        )
-    return out
+    lat = lattice(dist.n)
+    p = np.array([dist.weights.get(q, 0.0) for q in lat.partitions], dtype=float)
+    values = np.bincount(lat.fine, weights=p[lat.coarse], minlength=len(p))
+    return dict(zip(lat.partitions, values.tolist()))
+
+
+def _solve(lat: Lattice, values: np.ndarray) -> np.ndarray:
+    """x with Σ_{Λ ⪰ Π} x_Λ = values_Π for every Π: forward substitution in the
+    coarsest-first order over the comparable pairs, one cell count at a time
+    (partitions with equally many cells are incomparable)."""
+    x = np.array(values)
+    strict = lat.coarse != lat.fine
+    coarse, fine = lat.coarse[strict], lat.fine[strict]
+    cuts = np.searchsorted(fine, np.searchsorted(lat.num_cells, np.arange(2, lat.n + 1)))
+    for c, f in zip(np.split(coarse, cuts), np.split(fine, cuts)):
+        np.subtract.at(x, f, x[c])
+    return x
 
 
 def mobius_invert(
@@ -212,29 +245,23 @@ def mobius_invert(
     """Solve M_Π = Σ_{Λ ⪰ Π} p_Λ for the unique weights p_Λ.
 
     The system is lower triangular with unit diagonal in the coarsest-first
-    order, so forward substitution is exact up to rounding. Inputs must be
-    keyed by every partition of the lattice; imaginary parts of the solution
-    beyond ``tol`` raise :class:`CoherenceResidueError`.
+    order, so forward substitution is exact up to rounding; it equals the
+    Möbius sum p_Π = Σ_{Λ ⪰ Π} μ(Π, Λ) M_Λ. Inputs must be keyed by every
+    partition of the lattice; imaginary parts of the solution beyond ``tol``
+    raise :class:`CoherenceResidueError`.
     """
     if not class_values:
         raise ValueError("empty class-value map")
-    n = next(iter(class_values)).n
-    order = matrix_order(n)
-    if set(class_values) != set(order):
-        raise ValueError(f"class values must cover all {len(order)} partitions of n={n}")
-
-    solved: dict[SetPartition, complex] = {}
-    for r, row in enumerate(order):
-        acc = complex(class_values[row])
-        for col in order[:r]:
-            if refines(col, row):
-                acc -= solved[col]
-        solved[row] = acc
-
-    worst = max(abs(v.imag) for v in solved.values())
+    lat = lattice(next(iter(class_values)).n)
+    if set(class_values) != set(lat.partitions):
+        raise ValueError(
+            f"class values must cover all {len(lat.partitions)} partitions of n={lat.n}"
+        )
+    solved = _solve(lat, np.array([complex(class_values[p]) for p in lat.partitions]))
+    worst = float(np.abs(solved.imag).max())
     if worst > tol:
         raise CoherenceResidueError(
             f"partition weights have imaginary residue {worst:.3e} > {tol:.1e}; "
             "input is not an orbit-invariant spectrum"
         )
-    return PartitionDistribution(n, {p: v.real for p, v in solved.items()})
+    return PartitionDistribution(lat.n, dict(zip(lat.partitions, solved.real.tolist())))

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import SingularDiagonalError
-from .partitions import (
-    PartitionDistribution,
-    SetPartition,
-    matrix_order,
-    mobius_invert,
-    refines,
-)
+from .partitions import PartitionDistribution, SetPartition, matrix_order, mobius_invert
 from .spectrum import Spectrum, class_reduce, is_orbit_invariant
 
 CLASSIFY_TOLERANCE = 1e-9
@@ -88,13 +82,14 @@ def mitigation_weights(
     depth: int | None = None,
     tol: float = CLASSIFY_TOLERANCE,
 ) -> MitigationPlan:
-    """Solve 1 = Σ_Ξ R_{ΛΞ} w_Ξ row by row for the correction weights.
+    """Solve 1 = Σ_Ξ R_{ΛΞ} w_Ξ on the first ``depth`` rows for the correction weights.
 
     Column Ξ holds the spectrum of the state delayed by Ξ, which is the
     original class value masked by Π_sigma ⪯ Ξ; row Λ therefore reads
-    M_Λ · [Λ ⪯ Ξ]. Sorted coarsest first the system is lower triangular
-    with M_Λ on the diagonal, so every class value reached before ``depth``
-    must be nonzero.
+    M_Λ · Σ_{Ξ ⪰ Λ} w_Ξ = 1, and the weights are the Möbius inverse of 1/M.
+    The coarsest-first rows form an up-set, so a truncated plan keeps the
+    full plan's weights on its rows. Every class value reached before
+    ``depth`` must have a nonzero real part.
     """
     report = is_orbit_invariant(spec, tol)
     if not report.invariant:
@@ -107,20 +102,17 @@ def mitigation_weights(
     depth = len(order) if depth is None else depth
     if not 1 <= depth <= len(order):
         raise ValueError(f"depth must be in 1..{len(order)}")
-
-    weights: dict[SetPartition, float] = {}
-    solved: list[SetPartition] = []
-    for row in order[:depth]:
-        m_row = class_values[row]
-        if abs(m_row) <= tol:
-            raise SingularDiagonalError(row, m_row)
-        acc = 1.0
-        for col in solved:
-            if refines(col, row):  # Λ ⪯ Ξ: the delayed state still shows M_Λ
-                acc -= m_row.real * weights[col]
-        weights[row] = acc / m_row.real
-        solved.append(row)
-    return MitigationPlan(partitions=tuple(solved), weights=weights, order=depth)
+    solved = tuple(order[:depth])
+    inverse = dict.fromkeys(order, 0.0)
+    for row in solved:
+        diagonal = class_values[row].real
+        if abs(diagonal) <= tol:
+            raise SingularDiagonalError(row, diagonal)
+        inverse[row] = 1.0 / diagonal
+    weights = mobius_invert(inverse).weights
+    return MitigationPlan(
+        partitions=solved, weights={p: weights[p] for p in solved}, order=depth
+    )
 
 
 def apply_mitigation(

@@ -24,10 +24,9 @@ from .interference import (
     mix_laws,
     pair_permanent_sums,
     real_part,
-    spectrum_vector,
 )
 from .partitions import PartitionDistribution, SetPartition
-from .spectrum import spectrum_of, twirl
+from .spectrum import spectrum_of, spectrum_vector, twirl
 from .states import State
 
 WEIGHT_FLOOR = -1e-12

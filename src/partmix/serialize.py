@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SchemaError
 from .interference import UNITARY_TOL, check_unitary
 from .partitions import PartitionDistribution, SetPartition
-from .spectrum import Spectrum
+from .spectrum import MAX_SPECTRUM_N, Spectrum
 from .states import (
     InternalState,
     Mixture,
@@ -279,6 +279,8 @@ def _family_state(fields: dict) -> State:
     for key in _FAMILIES[family]:
         if key not in fields:
             raise SchemaError(f"/{key}", f"family {family!r} requires {key!r}")
+    if "n" in _FAMILIES[family] and fields["n"] > MAX_SPECTRUM_N:
+        raise SchemaError("/n", f"family {family!r} is limited to n <= {MAX_SPECTRUM_N}")
     if family == "obb":
         return _built("/n", obb_state, fields["n"], fields["x"])
     if family == "triad":

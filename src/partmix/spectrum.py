@@ -16,9 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .partitions import SetPartition, refines
+from .partitions import SetPartition, lattice
 from .states import Mixture, ProductState, State
-from .symgroup import Permutation, cycle_partition, enumerate_permutations
+from .symgroup import Permutation, enumerate_permutations, group_table, permutation_ranks
 
 ORBIT_TOLERANCE = 1e-9
 
@@ -45,9 +45,6 @@ class Spectrum:
     @property
     def m_id(self) -> complex:
         return self.values[Permutation.identity(self.n)]
-
-    def permutations(self) -> list[Permutation]:
-        return list(enumerate_permutations(self.n))
 
     def to_json(self) -> list[dict]:
         return [
@@ -110,11 +107,38 @@ def spectrum_of(state: State) -> Spectrum:
     return Spectrum(state.n, _spectrum_of_product(state))
 
 
+def _ranked(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """M in rank order, and the rank of each key of ``spec.values`` in its order."""
+    ranks = permutation_ranks(np.array([s.images for s in spec.values], dtype=np.intp))
+    vec = np.empty(len(ranks), dtype=complex)
+    vec[ranks] = list(spec.values.values())
+    return vec, ranks
+
+
+def spectrum_vector(spec: Spectrum) -> np.ndarray:
+    """M_sigma in the rank order of ``group_table`` and ``enumerate_permutations``."""
+    return _ranked(spec)[0]
+
+
+def _with_values(spec: Spectrum, ranks: np.ndarray, vec: np.ndarray) -> Spectrum:
+    """A spectrum on the keys of ``spec`` holding the rank-ordered values ``vec``."""
+    return Spectrum(spec.n, dict(zip(spec.values, vec[ranks].tolist())))
+
+
+def _means(vec: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The mean of ``vec`` over each id, summed in rank order."""
+    sums = np.empty(ids.max() + 1, dtype=complex)
+    sums.real = np.bincount(ids, vec.real)
+    sums.imag = np.bincount(ids, vec.imag)
+    return sums / np.bincount(ids)
+
+
 def orbit_classes(n: int) -> dict[SetPartition, list[Permutation]]:
     """Permutations grouped by the partition their cycles induce."""
+    parts = lattice(n).partitions
     classes: dict[SetPartition, list[Permutation]] = {}
-    for sigma in enumerate_permutations(n):
-        classes.setdefault(cycle_partition(sigma), []).append(sigma)
+    for sigma, i in zip(enumerate_permutations(n), group_table(n).partition_id.tolist()):
+        classes.setdefault(parts[i], []).append(sigma)
     return classes
 
 
@@ -130,47 +154,46 @@ class OrbitInvarianceReport:
 
 def is_orbit_invariant(spec: Spectrum, tol: float = ORBIT_TOLERANCE) -> OrbitInvarianceReport:
     """Check M_sigma = M_tau whenever sigma and tau induce the same partition."""
-    worst = 0.0
-    worst_pair = None
-    for members in orbit_classes(spec.n).values():
-        if len(members) < 2:
-            continue
-        vals = np.array([spec.values[s] for s in members])
+    vec = spectrum_vector(spec)
+    table = group_table(spec.n)
+    worst, pair = 0.0, None
+    grouped = np.argsort(table.partition_id, kind="stable")
+    for members in np.split(grouped, np.cumsum(np.bincount(table.partition_id))[:-1]):
+        vals = vec[members]
         # exact pairwise diameter, chunked to bound memory on big classes
         for lo in range(0, len(members), 256):
-            hi = min(lo + 256, len(members))
-            diffs = np.abs(vals[lo:hi, None] - vals[None, :])
-            k = int(np.argmax(diffs))
-            a, b = divmod(k, len(members))
+            diffs = np.abs(vals[lo : lo + 256, None] - vals)
+            a, b = divmod(int(np.argmax(diffs)), len(members))
             if diffs[a, b] > worst:
-                worst = float(diffs[a, b])
-                worst_pair = (members[lo + a], members[b])
+                worst, pair = float(diffs[a, b]), (members[lo + a], members[b])
+    worst_pair = None if pair is None else tuple(
+        Permutation(tuple(table.images[r].tolist())) for r in pair
+    )
     return OrbitInvarianceReport(worst <= tol, worst, worst_pair)
 
 
 def class_reduce(spec: Spectrum) -> dict[SetPartition, complex]:
     """Arithmetic mean of M over each orbit class, keyed by partition."""
-    out = {}
-    for part, members in orbit_classes(spec.n).items():
-        out[part] = sum(spec.values[s] for s in members) / len(members)
-    return out
+    means = _means(spectrum_vector(spec), group_table(spec.n).partition_id)
+    return dict(zip(lattice(spec.n).partitions, means.tolist()))
 
 
 def spectrum_from_class_values(
     n: int, class_values: Mapping[SetPartition, complex]
 ) -> Spectrum:
     """Expand per-partition values into a dense (orbit-invariant) spectrum."""
-    return Spectrum(
-        n, {s: complex(class_values[cycle_partition(s)]) for s in enumerate_permutations(n)}
-    )
+    values = np.array([complex(class_values[p]) for p in lattice(n).partitions])
+    ranked = values[group_table(n).partition_id].tolist()
+    return Spectrum(n, dict(zip(enumerate_permutations(n), ranked)))
 
 
 def mask_spectrum(spec: Spectrum, partition: SetPartition) -> Spectrum:
     """The partitioning condition: keep M_sigma where Π_sigma ⪯ partition, zero elsewhere."""
-    out = {}
-    for sigma, v in spec.values.items():
-        out[sigma] = v if refines(partition, cycle_partition(sigma)) else 0.0 + 0.0j
-    return Spectrum(spec.n, out)
+    lat = lattice(spec.n)
+    finer = lat.fine[lat.coarse == lat.partitions.index(partition)]
+    vec, ranks = _ranked(spec)
+    keep = np.isin(group_table(spec.n).partition_id, finer)
+    return _with_values(spec, ranks, np.where(keep, vec, 0.0))
 
 
 def twirl(spec: Spectrum) -> Spectrum:
@@ -179,16 +202,9 @@ def twirl(spec: Spectrum) -> Spectrum:
     Conjugation sweeps the full conjugacy class uniformly, so the result is
     the class mean and depends only on the cycle-length multiset.
     """
-    buckets: dict[tuple[int, ...], list[Permutation]] = {}
-    for sigma in enumerate_permutations(spec.n):
-        buckets.setdefault(sigma.cycle_type(), []).append(sigma)
-    means = {
-        t: sum(spec.values[s] for s in members) / len(members)
-        for t, members in buckets.items()
-    }
-    return Spectrum(
-        spec.n, {s: means[s.cycle_type()] for s in enumerate_permutations(spec.n)}
-    )
+    vec, ranks = _ranked(spec)
+    types = group_table(spec.n).type_id
+    return _with_values(spec, ranks, _means(vec, types)[types])
 
 
 def strict_projection(spec: Spectrum) -> Spectrum:
@@ -197,23 +213,16 @@ def strict_projection(spec: Spectrum) -> Spectrum:
     M'_sigma = (1/prod_i (|sigma_i| - 1)!) * Σ_{Π_tau = Π_sigma} M_tau. The
     permutations sharing a cycle partition are exactly the independent
     re-orderings of each cell as one cycle, so the normalizer equals the
-    class size and the projection is the plain class mean.
+    class size and the projection is ``class_reduce`` expanded back.
     """
-    out: dict[Permutation, complex] = {}
-    for members in orbit_classes(spec.n).values():
-        lengths = members[0].cycle_type()
-        normalizer = math.prod(math.factorial(l - 1) for l in lengths)
-        assert normalizer == len(members)
-        mean = sum(spec.values[s] for s in members) / normalizer
-        for s in members:
-            out[s] = mean
-    return Spectrum(spec.n, out)
+    vec, ranks = _ranked(spec)
+    ids = group_table(spec.n).partition_id
+    return _with_values(spec, ranks, _means(vec, ids)[ids])
 
 
 def gi_part(spec: Spectrum) -> complex:
     """Genuine indistinguishability, partition view: mean of M over maximal cycles."""
-    full = [s for s in enumerate_permutations(spec.n) if len(s.cycles()) == 1]
-    return sum(spec.values[s] for s in full) / math.factorial(spec.n - 1)
+    return class_reduce(spec)[SetPartition.full(spec.n)]
 
 
 def gi_sym(spec: Spectrum) -> float:

@@ -1,4 +1,5 @@
-"""Symmetric-group machinery: permutations, cycles, conjugation, rencontres numbers.
+"""Symmetric-group machinery: permutations, cycles, conjugation, rencontres
+numbers, and the cached array table of S_n that the spectrum transforms read.
 
 Everything is 0-based internally; 1-based labels appear only in rendered text.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import NoConjugatorError
+import numpy as np
 
 MAX_ENUM_N = 8
 
@@ -94,9 +95,6 @@ class Permutation:
     def moved(self) -> int:
         return self.n - len(self.fixed_points())
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def to_json(self) -> list[int]:
         return list(self.images)
 
@@ -114,6 +112,50 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+@dataclass(frozen=True, eq=False)
+class GroupTable:
+    """S_n as arrays, one row per permutation in the rank order of
+    ``enumerate_permutations``: the image tuples of each permutation and of
+    its inverse, the index of its cycle partition in ``lattice(n).partitions``,
+    and a number for its cycle type."""
+
+    images: np.ndarray
+    inverses: np.ndarray
+    partition_id: np.ndarray
+    type_id: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def group_table(n: int) -> GroupTable:
+    """The cached table of S_n; it holds arrays only, no Permutation objects."""
+    from .partitions import lattice
+
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"n must be in 1..{MAX_ENUM_N}, got {n}")
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    images = np.fromiter(flat, dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
+    # low[r, i]: the least element of the cycle of i, over the powers of sigma
+    low, power = np.minimum(np.arange(n), images), images
+    for _ in range(n - 2):
+        power = np.take_along_axis(images, power, axis=1)
+        low = np.minimum(low, power)
+    firsts = np.cumsum(low == np.arange(n), axis=1) - 1
+    lat = lattice(n)
+    partition_id = lat.locate(np.take_along_axis(firsts, low, axis=1))
+    # the cycle type of a partition: each element's cell size, sorted
+    sizes = np.sort((lat.rgs[:, :, None] == lat.rgs[:, None, :]).sum(axis=2), axis=1)
+    type_of_partition = np.unique(sizes, axis=0, return_inverse=True)[1].ravel()
+    return GroupTable(images, np.argsort(images, axis=1).astype(np.int8), partition_id,
+                      type_of_partition[partition_id])
+
+
+def permutation_ranks(images: np.ndarray) -> np.ndarray:
+    """The rank in ``enumerate_permutations`` order of each row of image tuples."""
+    n = images.shape[1]
+    later_smaller = (images[:, :, None] > images[:, None, :]) & np.triu(np.ones((n, n), bool), 1)
+    return later_smaller.sum(axis=2) @ np.array([math.factorial(n - 1 - i) for i in range(n)])
+
+
 def cycle_partition(sigma: Permutation):
     """The set partition of {0..n-1} whose cells are the orbits of sigma."""
     from .partitions import SetPartition
@@ -126,30 +168,6 @@ def conjugate(sigma: Permutation, nu: Permutation) -> Permutation:
     if sigma.n != nu.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {nu.n}")
     return nu.compose(sigma).compose(nu.inverse())
-
-
-def connecting_conjugator(sigma: Permutation, tau: Permutation) -> Permutation:
-    """Find nu with nu∘sigma∘nu^{-1} = tau.
-
-    Exists iff the two cycle structures match; built by aligning the cycles
-    of equal length element by element.
-    """
-    if sigma.n != tau.n:
-        raise ValueError(f"size mismatch: {sigma.n} vs {tau.n}")
-    if sigma.cycle_type() != tau.cycle_type():
-        raise NoConjugatorError(
-            f"cycle types differ: {sigma.cycle_type()} vs {tau.cycle_type()}"
-        )
-    key = lambda c: (len(c), c)
-    s_cycles = sorted(sigma.cycles(), key=key)
-    t_cycles = sorted(tau.cycles(), key=key)
-    images = [0] * sigma.n
-    for sc, tc in zip(s_cycles, t_cycles):
-        for a, b in zip(sc, tc):
-            images[a] = b
-    nu = Permutation(tuple(images))
-    assert conjugate(sigma, nu) == tau
-    return nu
 
 
 @lru_cache(maxsize=None)

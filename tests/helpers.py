@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from partmix.interference import permanent
-from partmix.partitions import PartitionDistribution, enumerate_partitions
+from partmix.partitions import PartitionDistribution, enumerate_partitions, matrix_order, refines
 from partmix.sampling import haar_unitary
 from partmix.spectrum import spectrum_of, twirl
 from partmix.states import mixed_product, pure_product
@@ -39,6 +39,61 @@ def random_nonneg_distribution(rng, n):
     w = rng.random(len(parts))
     w /= w.sum()
     return PartitionDistribution.of(n, dict(zip(parts, w)))
+
+
+def path_amplitude(U, sigma, input_modes, output_modes):
+    """X_sigma: the product of matrix entries along one photon routing,
+    prod_i U[input_modes[i], output_modes[sigma(i)]]."""
+    acc = 1.0 + 0.0j
+    for i in range(sigma.n):
+        acc *= U[input_modes[i], output_modes[sigma(i)]]
+    return acc
+
+
+def naive_permanent(a):
+    """The permanent as its defining sum over all k! permutations."""
+    k = a.shape[0]
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(k)):
+        prod = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            prod *= a[i, j]
+        total += prod
+    return total
+
+
+def forward_substitution(class_values):
+    """Partition weights by the dense forward substitution over the
+    coarsest-first order, testing ``refines`` on every earlier row."""
+    n = next(iter(class_values)).n
+    order = matrix_order(n)
+    solved = {}
+    for r, row in enumerate(order):
+        acc = complex(class_values[row])
+        for col in order[:r]:
+            if refines(col, row):
+                acc -= solved[col]
+        solved[row] = acc
+    return solved
+
+
+def closed_form_mobius(class_values):
+    """Partition weights by the Möbius sum p_Π = Σ_{Λ ⪰ Π} μ(Π, Λ) M_Λ, with
+    μ(Π, Λ) = Π_{C ∈ Λ} (-1)^{k_C - 1} (k_C - 1)! where k_C counts the cells of
+    Π inside the cell C of Λ (Rota 1964)."""
+    n = next(iter(class_values)).n
+    order = matrix_order(n)
+    out = {}
+    for pi in order:
+        total = 0.0 + 0.0j
+        for lam in order:
+            if refines(lam, pi):
+                cell_of = lam.cell_of()
+                inside = [sum(cell_of[c[0]] == k for c in pi.cells) for k in range(lam.num_cells)]
+                mu = math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in inside)
+                total += mu * complex(class_values[lam])
+        out[pi] = total
+    return out
 
 
 def ryser_reference(a):

@@ -511,3 +511,55 @@ def test_haar_experiment_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["mean_sq_raw"] == pytest.approx(doc["mean_sq_twirled"], rel=1e-9)
+
+
+def _one_schema_error(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1  # one JSON error line, no traceback
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "schema"
+    return payload
+
+
+def test_json_outcome_goes_through_the_typed_readers(capsys):
+    # each used to answer for a truncated outcome, or end in a TypeError traceback
+    base = ["probability", "--family", "obb", "--n", "3", "--x", "0.5", "--haar", "5"]
+    for text, path, message in (
+        ("[2.9,0,1,0,0]", "/outcome/0", "expected integer, got 2.9"),
+        ("[true,1,1,0,0]", "/outcome/0", "expected integer, got boolean"),
+        ("[[1],0,0]", "/outcome/0", "expected integer, got array"),
+        ("[1,0,1,-1,0]", "/outcome/3", "-1 is less than the minimum of 0"),
+    ):
+        payload = _one_schema_error(*run(capsys, *base, "--outcome", text))
+        assert (payload["path"], payload["message"]) == (path, message)
+
+
+def test_bad_tolerance_exits_2_before_any_work(capsys, monkeypatch):
+    import partmix.cli as cli
+
+    monkeypatch.setattr(cli, "spectrum_of", lambda state: pytest.fail("work began"))
+    base = ["classify", "--family", "obb", "--n", "3", "--x", "0.5"]
+    for tol in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol=-inf"]):
+        payload = _one_schema_error(*run(capsys, *base, *tol))
+        assert payload["path"] == "/tol"
+
+
+def test_family_n_above_eight_exits_2_before_building(capsys, monkeypatch):
+    import partmix.serialize as serialize
+
+    monkeypatch.setattr(serialize, "ideal_state", lambda n: pytest.fail("state built"))
+    monkeypatch.setattr(serialize, "obb_state", lambda n, x: pytest.fail("state built"))
+    for family in (["ideal"], ["obb", "--x", "0.5"]):
+        payload = _one_schema_error(*run(capsys, "spectrum", "--family", *family, "--n", "20000"))
+        assert payload["path"] == "/n"
+
+
+def test_mitigate_with_an_imaginary_diagonal_exits_2(capsys, tmp_path):
+    # an orbit-invariant spectrum whose class value has no real part used to
+    # end in a ZeroDivisionError traceback
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 2, "values": [
+        {"sigma": [0, 1], "re": 1.0, "im": 0.0}, {"sigma": [1, 0], "re": 0.0, "im": 0.5}]}))
+    code, out, err = run(capsys, "mitigate", "--spectrum", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "SingularDiagonalError"

@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     double_sum_probability,
+    naive_permanent,
+    path_amplitude,
     random_mixed_state,
     random_nonneg_distribution,
     random_pure_state,
@@ -21,7 +23,6 @@ from partmix.interference import (
     no_collision_outcomes,
     outcome_patterns,
     partition_probability,
-    path_amplitude,
     permanent,
     permanents,
     probability_from_spectrum,
@@ -56,8 +57,8 @@ def test_permanent_methods_agree():
     rng = np.random.default_rng(41)
     for k in range(1, 9):
         a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        naive = permanent(a, "naive")
-        ryser = permanent(a, "ryser")
+        naive = naive_permanent(a)
+        ryser = permanent(a)
         assert abs(naive - ryser) <= 1e-10 * max(1.0, abs(naive))
 
 
@@ -75,12 +76,11 @@ def test_permanent_is_bitwise_the_single_matrix_ryser():
 
 def test_permanent_bounds_and_empty():
     assert permanent(np.zeros((0, 0))) == 1.0
+    assert permanent(np.eye(9)) == 1.0
     with pytest.raises(ValueError):
-        permanent(np.eye(9), "naive")
+        permanent(np.eye(17))
     with pytest.raises(ValueError):
-        permanent(np.eye(17), "ryser")
-    with pytest.raises(ValueError):
-        permanent(np.eye(3), "glynn")
+        permanent(np.ones((2, 3)))
 
 
 def test_engine_rejects_non_unitary_matrices():

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nonneg_distribution
+from helpers import closed_form_mobius, forward_substitution, random_nonneg_distribution
 from partmix.errors import CoherenceResidueError
 from partmix.partitions import (
     PartitionDistribution,
     SetPartition,
-    build_reconstruction_matrix,
     enumerate_partitions,
     forward_map,
+    lattice,
     matrix_order,
     mobius_invert,
     refines,
@@ -110,31 +110,84 @@ def test_stabilizer_bound_appendix_f():
                 assert stabilizer_size(lam) * n <= math.factorial(n)
 
 
+def _indicator(n):
+    """The lattice and its refinement indicator, R[r, c] = 1 iff
+    partitions[c] ⪰ partitions[r], filled from the pair table."""
+    lat = lattice(n)
+    entries = np.zeros((len(lat.partitions),) * 2, dtype=np.int64)
+    entries[lat.fine, lat.coarse] = 1
+    return lat, entries
+
+
 def test_reconstruction_matrix_n2():
-    rm = build_reconstruction_matrix(2)
+    lat, entries = _indicator(2)
     full, single = SetPartition.full(2), SetPartition.singletons(2)
-    assert rm.partitions == (full, single)
-    assert rm.entries[rm.index(full), rm.index(full)] == 1
-    assert rm.entries[rm.index(full), rm.index(single)] == 0
-    assert list(rm.entries[rm.index(single)]) == [1, 1]
+    index = lat.partitions.index
+    assert lat.partitions == (full, single)
+    assert entries[index(full), index(full)] == 1
+    assert entries[index(full), index(single)] == 0
+    assert list(entries[index(single)]) == [1, 1]
 
 
 def test_reconstruction_matrix_n3_row():
-    rm = build_reconstruction_matrix(3)
-    row = rm.index(SetPartition.of(3, [[0, 1], [2]]))
-    ones = {rm.partitions[c] for c in range(len(rm.partitions)) if rm.entries[row, c]}
+    lat, entries = _indicator(3)
+    row = lat.partitions.index(SetPartition.of(3, [[0, 1], [2]]))
+    ones = {lat.partitions[c] for c in range(len(lat.partitions)) if entries[row, c]}
     assert ones == {SetPartition.full(3), SetPartition.of(3, [[0, 1], [2]])}
 
 
 def test_reconstruction_matrix_triangular():
     for n in range(1, 7):
-        rm = build_reconstruction_matrix(n)
-        b = len(rm.partitions)
-        assert np.all(np.diag(rm.entries) == 1)
-        assert np.all(np.triu(rm.entries, k=1) == 0)  # lower triangular
+        lat, entries = _indicator(n)
+        b = len(lat.partitions)
+        assert np.all(np.diag(entries) == 1)
+        assert np.all(np.triu(entries, k=1) == 0)  # lower triangular
         if n <= 5:
-            assert abs(np.linalg.det(rm.entries.astype(float)) - 1.0) < 1e-9
+            assert abs(np.linalg.det(entries.astype(float)) - 1.0) < 1e-9
         assert b == BELL[n]
+
+
+def test_pairs_equal_brute_force_refines():
+    for n in range(1, 7):
+        lat = lattice(n)
+        pairs = set(zip(lat.coarse.tolist(), lat.fine.tolist()))
+        assert len(pairs) == len(lat.coarse)
+        brute = {
+            (c, f)
+            for c, f in itertools.product(range(len(lat.partitions)), repeat=2)
+            if refines(lat.partitions[c], lat.partitions[f])
+        }
+        assert pairs == brute
+
+
+def _stirling2(n, k):
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def test_pair_counts_at_seven_and_eight():
+    for n, count in ((7, 19302), (8, 167894)):
+        lat = lattice(n)
+        assert len(lat.coarse) == count
+        assert count == sum(_stirling2(n, k) * BELL[k] for k in range(1, n + 1))
+        assert len(lat.partitions) == BELL[n]
+        assert lattice(n) is lat
+        # spot check: every pair refines, and the coarse side never has more cells
+        for k in np.random.default_rng(n).integers(len(lat.coarse), size=300):
+            assert refines(lat.partitions[lat.coarse[k]], lat.partitions[lat.fine[k]])
+        assert (lat.num_cells[lat.coarse] <= lat.num_cells[lat.fine]).all()
+
+
+def test_lattice_orders_read_one_table():
+    for n in range(1, 9):
+        lat = lattice(n)
+        assert matrix_order(n) == list(lat.partitions)
+        assert enumerate_partitions(n) == list(lat.finest_first)
+        keys = [(p.num_cells, p.rgs()) for p in lat.partitions]
+        assert keys == sorted(keys)
+        keys = [(-p.num_cells, p.rgs()) for p in lat.finest_first]
+        assert keys == sorted(keys)
+        assert [p.rgs() for p in lat.partitions] == [tuple(r) for r in lat.rgs.tolist()]
+        assert (lat.locate(lat.rgs) == np.arange(len(lat.partitions))).all()
 
 
 def test_matrix_order_is_coarsest_first():
@@ -212,6 +265,26 @@ def test_roundtrip_hypothesis(n, data):
     back = mobius_invert({p: complex(v) for p, v in forward_map(dist).items()})
     for p in parts:
         assert abs(back.weights[p] - dist.weights[p]) < 1e-10
+
+
+def test_mobius_matches_closed_form_and_forward_substitution():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        parts = enumerate_partitions(n)
+        values = {p: complex(rng.uniform(-1, 1), rng.uniform(-1e-3, 1e-3)) for p in parts}
+        got = mobius_invert(values, tol=1.0)
+        for reference in (closed_form_mobius(values), forward_substitution(values)):
+            for p in parts:
+                assert abs(got.weights[p] - reference[p].real) <= 1e-12
+
+
+def test_roundtrip_at_seven_and_eight():
+    rng = np.random.default_rng(8)
+    for n in (7, 8):
+        dist = random_nonneg_distribution(rng, n)
+        back = mobius_invert({p: complex(v) for p, v in forward_map(dist).items()})
+        worst = max(abs(back.weights[p] - w) for p, w in dist.weights.items())
+        assert worst < 1e-12
 
 
 def test_mobius_rejects_complex_residue():

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_nonneg_distribution, random_unitary
+from helpers import closed_form_mobius, random_nonneg_distribution, random_unitary
 from partmix.errors import SingularDiagonalError
 from partmix.interference import ideal_probability, probability_from_spectrum
 from partmix.partitions import (
     SetPartition,
     enumerate_partitions,
     forward_map,
+    lattice,
     matrix_order,
     refines,
 )
@@ -242,3 +243,35 @@ def test_full_depth_mitigation_recovers_permanent_law():
         assert mitigated[outcome] == pytest.approx(
             ideal_probability(U, outcome), abs=1e-9
         )
+
+
+def test_mitigation_is_the_mobius_inverse_of_one_over_m_at_every_depth():
+    rng = np.random.default_rng(37)
+    for n in range(1, 6):
+        order = matrix_order(n)
+        randomized = {p: complex(rng.uniform(0.2, 1.0)) for p in order}
+        for spec in (spectrum_from_class_values(n, randomized), spectrum_of(obb_state(n, 0.6))):
+            classes = class_reduce(spec)
+            reference = closed_form_mobius({p: 1.0 / v.real for p, v in classes.items()})
+            for depth in range(1, len(order) + 1):
+                plan = mitigation_weights(spec, depth=depth)
+                assert plan.partitions == tuple(order[:depth])
+                for p in plan.partitions:
+                    scale = max(1.0, abs(reference[p]))
+                    assert abs(plan.weights[p] - reference[p].real) <= 1e-12 * scale
+
+
+def test_mitigation_at_seven_and_eight():
+    for n, x in ((7, 0.6), (8, 0.7)):
+        classes = forward_map(obb_partition_distribution(n, x))
+        plan = mitigation_weights(spectrum_from_class_values(n, classes))
+        assert len(plan.partitions) == len(matrix_order(n))
+        lat = lattice(n)
+        w = np.array([plan.weights[p] for p in lat.partitions])
+        m = np.array([classes[p] for p in lat.partitions])
+        rows = m * np.bincount(lat.fine, weights=w[lat.coarse])
+        assert np.abs(rows - 1.0).max() < 1e-9
+        # a few rows by the refinement predicate itself
+        for row in lat.partitions[:: len(lat.partitions) // 7]:
+            total = sum(plan.weights[col] for col in lat.partitions if refines(col, row))
+            assert classes[row] * total == pytest.approx(1.0, abs=1e-9)

@@ -39,7 +39,7 @@ from partmix.serialize import (
 )
 from partmix.spectrum import spectrum_of
 from partmix.states import Mixture, obb_partition_distribution, obb_state
-from partmix.symgroup import enumerate_permutations
+from partmix.symgroup import Permutation, enumerate_permutations
 
 
 def spectra_equal(a, b, tol=0.0):
@@ -131,7 +131,7 @@ def test_heterogeneous_photons_in_one_product():
     state = state_from_json(doc)
     assert state.n == 2 and not state.is_pure
     spec = spectrum_of(state)
-    swap = next(s for s in enumerate_permutations(2) if not s.is_identity())
+    swap = next(s for s in enumerate_permutations(2) if s != Permutation.identity(2))
     assert spec.value(swap) == pytest.approx(0.5, abs=1e-14)
     back = state_from_json(state_to_json(state))
     assert spectra_equal(spec, spectrum_of(back), tol=1e-14)

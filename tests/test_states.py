@@ -182,7 +182,7 @@ def test_delay_endpoints():
         assert same.value(sigma) == pytest.approx(spec.value(sigma), abs=1e-12)
     cut = spectrum_of(apply_time_delay_partition(state, SetPartition.singletons(3)))
     for sigma in enumerate_permutations(3):
-        expected = spec.m_id if sigma.is_identity() else 0.0
+        expected = spec.m_id if sigma == Permutation.identity(3) else 0.0
         assert cut.value(sigma) == pytest.approx(expected, abs=1e-12)
 
 

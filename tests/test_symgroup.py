@@ -1,17 +1,19 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partmix.errors import NoConjugatorError
+from partmix.partitions import lattice
 from partmix.symgroup import (
     Permutation,
     conjugate,
-    connecting_conjugator,
     cycle_partition,
     enumerate_permutations,
+    group_table,
+    permutation_ranks,
     rencontres,
 )
 
@@ -100,30 +102,38 @@ def test_conjugation_preserves_cycle_type_exhaustive():
             assert conjugate(sigma, tau).cycle_type() == sigma.cycle_type()
 
 
-def test_connecting_conjugator_exhaustive_n4():
-    group = list(enumerate_permutations(4))
-    for sigma, tau in itertools.product(group, repeat=2):
-        if sigma.cycle_type() == tau.cycle_type():
-            nu = connecting_conjugator(sigma, tau)
-            assert conjugate(sigma, nu) == tau
-        else:
-            with pytest.raises(NoConjugatorError):
-                connecting_conjugator(sigma, tau)
+def test_group_table_matches_the_permutations():
+    for n in range(1, 7):
+        table = group_table(n)
+        parts = lattice(n).partitions
+        types = {}
+        for r, sigma in enumerate(enumerate_permutations(n)):
+            assert tuple(table.images[r].tolist()) == sigma.images
+            assert tuple(table.inverses[r].tolist()) == sigma.inverse().images
+            assert parts[table.partition_id[r]] == cycle_partition(sigma)
+            types.setdefault(sigma.cycle_type(), set()).add(int(table.type_id[r]))
+        # one number per cycle type, and distinct types get distinct numbers
+        assert all(len(ids) == 1 for ids in types.values())
+        assert len(set().union(*types.values())) == len(types)
 
 
-def test_connecting_conjugator_same_input():
-    sigma = Permutation.from_cycles(5, [(0, 3, 1)])
-    nu = connecting_conjugator(sigma, sigma)
-    assert conjugate(sigma, nu) == sigma
+def test_group_table_at_eight():
+    table = group_table(8)
+    assert table.images.shape == (40320, 8)
+    assert (permutation_ranks(table.images) == np.arange(40320)).all()
+    composed = np.take_along_axis(table.images, table.inverses, axis=1)
+    assert (composed == np.arange(8)).all()
+    assert np.bincount(table.type_id).size == 22  # p(8) cycle types
+    assert group_table(8) is table
+    with pytest.raises(ValueError):
+        group_table(9)
 
 
-def test_connecting_conjugator_transpositions():
-    sigma = Permutation.from_cycles(3, [(0, 1)])
-    tau = Permutation.from_cycles(3, [(1, 2)])
-    nu = connecting_conjugator(sigma, tau)
-    assert conjugate(sigma, nu) == tau
-    with pytest.raises(NoConjugatorError):
-        connecting_conjugator(Permutation.from_cycles(3, [(0, 1, 2)]), sigma)
+def test_permutation_ranks_of_shuffled_rows():
+    rng = np.random.default_rng(7)
+    images = np.array([p.images for p in enumerate_permutations(5)])
+    shuffle = rng.permutation(len(images))
+    assert (permutation_ranks(images[shuffle]) == shuffle).all()
 
 
 def test_rencontres_against_brute_force():
